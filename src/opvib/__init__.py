@@ -12,13 +12,12 @@ from .tensor import (
     concat,
     conv1d,
     transposed_conv1d,
-    elementwise_power,
     power_stack,
     frames1d,
+    power_spectrum,
 )
 from .optim import Adam, AdamState, adam_step
 from .selfonn import (
-    GenerativeLayerParams,
     OperationalLayer,
     OperationalLayerConfig,
     generative_forward,

@@ -44,27 +44,35 @@ from .training import TrainConfig, classify_pairs, split_dataset, train_fault_de
 
 _COMMON_DEFAULTS = {"seed": 0}
 
+_TRAIN = TrainConfig()
+_SPEC = SyntheticSpec()
+
+# the CLI writes 60 + 60 segments by default, more than SyntheticSpec's 16 + 16
 _DEFAULTS = {
     "gen-synthetic": {
-        "healthy": 60, "faulty": 60, "out": None, "sample_rate": 4096.0,
-        "noise_level": 0.02, "fault_freq": 640.0, "fault_amp": 0.8,
+        "healthy": 60, "faulty": 60, "out": None, "sample_rate": _SPEC.sample_rate,
+        "noise_level": _SPEC.noise_level, "fault_freq": _SPEC.fault_freq,
+        "fault_amp": _SPEC.fault_amp,
     },
     "train-detector": {
-        "manifest": None, "out": None, "held_out_speed": None, "epochs": 50,
-        "batch_size": 8, "lr": 1e-4, "train_seconds": 2100.0, "val_seconds": 800.0,
-        "l_seg": None,
+        "manifest": None, "out": None, "held_out_speed": None,
+        "epochs": _TRAIN.classifier_epochs, "batch_size": _TRAIN.batch_size,
+        "lr": _TRAIN.learning_rate, "train_seconds": _TRAIN.train_seconds,
+        "val_seconds": _TRAIN.val_seconds, "l_seg": None,
     },
     "train-transformer": {
         "manifest": None, "detector": None, "out": None, "held_out_speed": None,
-        "iters": 1000, "batch_size": 8, "lr": 1e-4, "lam": 100.0,
-        "train_seconds": 2100.0, "val_seconds": 800.0, "val_interval": 25,
-        "class_loss": "paired", "joint": False,
+        "iters": _TRAIN.max_iterations, "batch_size": _TRAIN.batch_size,
+        "lr": _TRAIN.learning_rate, "lam": _TRAIN.lam,
+        "train_seconds": _TRAIN.train_seconds, "val_seconds": _TRAIN.val_seconds,
+        "val_interval": _TRAIN.val_interval, "class_loss": _TRAIN.class_loss_mode,
+        "joint": not _TRAIN.freeze_detector,
     },
     "synthesize": {"model": None, "sound": None, "out": None},
     "evaluate": {
         "detector": None, "manifest": None, "transformer": None, "split": "test",
-        "held_out_speed": None, "train_seconds": 2100.0, "val_seconds": 800.0,
-        "out_dir": None,
+        "held_out_speed": None, "train_seconds": _TRAIN.train_seconds,
+        "val_seconds": _TRAIN.val_seconds, "out_dir": None,
     },
     "benchmark": {"model": None, "reps": 50, "json": False},
 }

@@ -10,19 +10,19 @@ Three terms enter the objective:
 The combined objective is ``class_mse + lam * (time_l1 + stft_l1)``.  All
 reductions are means so the weight keeps the same meaning across segment
 lengths.  The spectral path is built from differentiable primitives (frame
-slicing, windowing, a DFT as two matrix products, and a softened magnitude
-``sqrt(re^2 + im^2 + eps)`` that avoids the gradient singularity at empty
-bins).
+slicing, windowing, the power spectrum ``|rfft|^2`` of
+:func:`opvib.tensor.power_spectrum`, and a softened magnitude
+``sqrt(|X|^2 + eps)`` that avoids the gradient singularity at empty bins).
+It is the single-resolution case of the STFT loss of Parallel WaveGAN
+(Yamamoto, Song & Kim, ICASSP 2020).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .signal import hann_window
-from .tensor import ShapeError, Tensor, frames1d
+from .tensor import ShapeError, Tensor, frames1d, power_spectrum
 
 __all__ = [
     "LossBreakdown",
@@ -36,44 +36,18 @@ __all__ = [
 
 MAGNITUDE_EPS = 1e-12
 
-_base_cache = {}
-
-
-def _dft_bases(n_fft, dtype):
-    """Cosine/sine analysis matrices ``(n_fft, n_fft//2 + 1)`` for the real DFT."""
-    key = (n_fft, np.dtype(dtype).str)
-    if key not in _base_cache:
-        n = np.arange(n_fft)[:, None]
-        k = np.arange(n_fft // 2 + 1)[None, :]
-        ang = 2.0 * np.pi * n * k / n_fft
-        _base_cache[key] = (
-            np.cos(ang).astype(dtype),
-            np.sin(ang).astype(dtype),
-            hann_window(n_fft).astype(dtype),
-        )
-    return _base_cache[key]
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def stft_magnitude(x, n_fft=256, hop=128, eps=MAGNITUDE_EPS, power=False):
-    """Differentiable magnitude spectrogram, shape ``(frames, n_fft//2 + 1)``.
-
-    ``power=True`` returns squared magnitudes instead (no square root).
-    """
+def stft_magnitude(x, n_fft=256, hop=128):
+    """Differentiable magnitude spectrogram, shape ``(frames, n_fft//2 + 1)``."""
     x = _as_tensor(x)
     if x.data.size < n_fft:
         raise ShapeError(f"segment shorter than FFT size: {x.data.size} < {n_fft}")
-    cos_b, sin_b, window = _dft_bases(n_fft, x.dtype)
-    frames = frames1d(x, n_fft, hop) * window
-    re = frames @ cos_b
-    im = frames @ (-sin_b)
-    sq = re * re + im * im
-    if power:
-        return sq
-    return (sq + eps).sqrt()
+    frames = frames1d(x, n_fft, hop) * hann_window(n_fft).astype(x.dtype)
+    return (power_spectrum(frames) + MAGNITUDE_EPS).sqrt()
 
 
 def loss_time(y, synth):
@@ -87,10 +61,10 @@ def loss_time(y, synth):
     return (y.reshape(-1) - synth.reshape(-1)).abs().mean()
 
 
-def loss_stft(y, synth, n_fft=256, hop=128, power=False):
+def loss_stft(y, synth, n_fft=256, hop=128):
     """Mean absolute error between the magnitude spectra of two segments."""
-    my = stft_magnitude(y, n_fft, hop, power=power)
-    ms = stft_magnitude(synth, n_fft, hop, power=power)
+    my = stft_magnitude(y, n_fft, hop)
+    ms = stft_magnitude(synth, n_fft, hop)
     if my.data.shape != ms.data.shape:
         raise ShapeError(f"spectrogram shape mismatch: {my.data.shape} vs {ms.data.shape}")
     return (my - ms).abs().mean()

@@ -30,48 +30,12 @@ from .tensor import (
 )
 
 __all__ = [
-    "GenerativeLayerParams",
     "OperationalLayerConfig",
     "OperationalLayer",
     "generative_forward",
     "transposed_generative_forward",
-    "operational_layer_forward",
     "init_generative_weights",
 ]
-
-
-@dataclass
-class GenerativeLayerParams:
-    """Taylor-coefficient kernels ``weights[Q][out][in][K]`` plus biases ``[out]``."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.ndim != 4:
-            raise ShapeError(f"generative weights must be (Q, out, in, K), got {self.weights.shape}")
-        if self.biases.shape != (self.weights.shape[1],):
-            raise ShapeError(
-                f"bias shape {self.biases.shape} does not match out channels {self.weights.shape[1]}"
-            )
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
-            raise ValueError("generative layer parameters must be finite")
-
-    @property
-    def q(self):
-        return self.weights.shape[0]
-
-    @property
-    def out_channels(self):
-        return self.weights.shape[1]
-
-    @property
-    def in_channels(self):
-        return self.weights.shape[2]
-
-    @property
-    def kernel(self):
-        return self.weights.shape[3]
 
 
 @dataclass(frozen=True)
@@ -99,13 +63,13 @@ def init_generative_weights(rng, config: OperationalLayerConfig, dtype=np.float3
     """Uniform init in [-s, s] with s = 1/sqrt(in*K*Q), the same scale per q slice.
 
     Keeps pre-tanh activations near the linear region at start, which the
-    power-series operator assumes.
+    power-series operator assumes.  Returns ``(weights, biases)`` shaped
+    ``(Q, out, in, K)`` and ``(out,)``.
     """
     c = config
     s = 1.0 / np.sqrt(c.in_channels * c.kernel * c.q)
     weights = rng.uniform(-s, s, size=(c.q, c.out_channels, c.in_channels, c.kernel))
-    biases = np.zeros(c.out_channels)
-    return GenerativeLayerParams(weights.astype(dtype), biases.astype(dtype))
+    return weights.astype(dtype), np.zeros(c.out_channels, dtype=dtype)
 
 
 def _power_stack(y, q):
@@ -149,20 +113,15 @@ def transposed_generative_forward(y, weights, biases=None, stride=1, padding=0):
     return transposed_conv1d(stacked, _stacked_tconv_weights(weights), biases, stride, padding)
 
 
-def operational_layer_forward(y, layer):
-    """Generative (or transposed-generative) pass followed by the configured activation."""
-    return layer(y)
-
-
 class OperationalLayer:
     """One operational layer: trainable generative kernels + optional tanh."""
 
     def __init__(self, config: OperationalLayerConfig, rng=None, dtype=np.float32):
         self.config = config
         rng = rng if rng is not None else np.random.default_rng()
-        params = init_generative_weights(rng, config, dtype)
-        self.weights = Tensor(params.weights, requires_grad=True)
-        self.biases = Tensor(params.biases, requires_grad=True)
+        weights, biases = init_generative_weights(rng, config, dtype)
+        self.weights = Tensor(weights, requires_grad=True)
+        self.biases = Tensor(biases, requires_grad=True)
 
     def __call__(self, y):
         c = self.config

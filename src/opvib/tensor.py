@@ -26,9 +26,9 @@ __all__ = [
     "concat",
     "conv1d",
     "transposed_conv1d",
-    "elementwise_power",
     "power_stack",
     "frames1d",
+    "power_spectrum",
 ]
 
 
@@ -203,9 +203,6 @@ class Tensor:
             raise UsageError("tensor/tensor division is not part of the op set; multiply by a reciprocal")
         return self * (1.0 / float(scalar))
 
-    def __pow__(self, q):
-        return elementwise_power(self, q)
-
     def __matmul__(self, other):
         other = _coerce(other, self.dtype)
         if self.data.ndim != 2 or other.data.ndim != 2:
@@ -328,8 +325,8 @@ def concat(tensors, axis=0):
 def power_stack(x, q):
     """Stack ``x**1 .. x**q`` along the channel axis in one fused op.
 
-    Equivalent to ``concat([elementwise_power(x, i) for i in 1..q])`` but with
-    a single node and one analytic backward pass.
+    Equivalent to concatenating ``x**1 .. x**q`` but with a single node and
+    one analytic backward pass.
     """
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError(f"power order must be a positive integer, got {q!r}")
@@ -342,7 +339,6 @@ def power_stack(x, q):
     out_data[:c] = x.data
     for i in range(1, q):
         np.multiply(out_data[(i - 1) * c : i * c], x.data, out=out_data[i * c : (i + 1) * c])
-    base = x.data
 
     def backward(g):
         gx = g[:c].copy()
@@ -350,27 +346,6 @@ def power_stack(x, q):
             # d(x^(i+1))/dx = (i+1) * x^i, and x^i is already in out_data
             gx += (i + 1) * g[i * c : (i + 1) * c] * out_data[(i - 1) * c : i * c]
         x._accumulate(gx)
-
-    return Tensor._result(out_data, (x,), backward)
-
-
-def elementwise_power(x, q):
-    """Raise every entry to the integer power ``q`` >= 1."""
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"power exponent must be a positive integer, got {q!r}")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    q = int(q)
-    if q == 1:
-        def backward1(g):
-            x._accumulate(g)
-
-        return Tensor._result(x.data.copy(), (x,), backward1)
-
-    out_data = x.data ** q
-    base = x.data
-
-    def backward(g):
-        x._accumulate(g * q * base ** (q - 1))
 
     return Tensor._result(out_data, (x,), backward)
 
@@ -530,3 +505,21 @@ def frames1d(x, frame_len, hop):
         x._accumulate(gx.reshape(orig_shape))
 
     return Tensor._result(out_data, (x,), backward)
+
+
+def power_spectrum(frames):
+    """Squared magnitude ``|rfft(frames)|**2`` over the last axis, shape ``(..., N//2 + 1)``."""
+    frames = frames if isinstance(frames, Tensor) else Tensor(frames)
+    n = frames.data.shape[-1]
+    spec = np.fft.rfft(frames.data, axis=-1)
+    out_data = (spec.real * spec.real + spec.imag * spec.imag).astype(frames.dtype, copy=False)
+
+    def backward(g):
+        # dP_k/dx = 2 Re(X_k e^{+2 pi i k n / N}) is the real-DFT adjoint of
+        # z = 2 g X; irfft counts every bin but DC and Nyquist twice, so
+        # those interior bins are halved before N * irfft
+        z = 2.0 * g * spec
+        z[..., 1 : (n + 1) // 2] *= 0.5
+        frames._accumulate((n * np.fft.irfft(z, n=n, axis=-1)).astype(frames.dtype, copy=False))
+
+    return Tensor._result(out_data, (frames,), backward)

@@ -25,7 +25,7 @@ from .models import (
     save_checkpoint,
 )
 from .optim import Adam
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 __all__ = [
     "TrainConfig",
@@ -113,9 +113,19 @@ def _batches(n, batch_size, rng):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _score_mse(scores, target):
-    d = scores - Tensor(target)
-    return (d * d).mean()
+def _batch_mean(terms):
+    """Mean of per-sample loss tensors, summed in sample order."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total / len(terms)
+
+
+def _require_finite(where, values):
+    """Stop a run whose loss went NaN/Inf; such weights must never be kept as "best"."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{where}: {name} is not finite ({value}); training stopped")
 
 
 def train_fault_detector(train, val, cfg: TrainConfig, log=None):
@@ -141,19 +151,18 @@ def train_fault_detector(train, val, cfg: TrainConfig, log=None):
         for batch in _batches(len(train), cfg.batch_size, rng):
             opt.zero_grad()
             terms = [
-                _score_mse(model(train[i].vibration.reshape(1, -1)), CLASS_TARGETS[train[i].label])
+                loss_class(CLASS_TARGETS[train[i].label], model(train[i].vibration.reshape(1, -1)))
                 for i in batch
             ]
-            batch_loss = terms[0]
-            for t in terms[1:]:
-                batch_loss = batch_loss + t
-            batch_loss = batch_loss / len(terms)
+            batch_loss = _batch_mean(terms)
             batch_loss.backward()
             opt.step()
             train_mse += batch_loss.item() * len(terms)
         train_mse /= len(train)
+        _require_finite(f"epoch {epoch}", {"train_mse": train_mse})
 
         val_mse, val_acc = _detector_validation(model, val if val else train)
+        _require_finite(f"epoch {epoch}", {"val_mse": val_mse})
         history.append({"epoch": epoch, "train_mse": train_mse,
                         "val_mse": val_mse, "val_accuracy": val_acc})
         if best is None or val_mse < best[0]:
@@ -176,8 +185,7 @@ def _detector_validation(model, pairs):
     with no_grad():
         for p in pairs:
             scores = model(p.vibration.reshape(1, -1))
-            target = CLASS_TARGETS[p.label]
-            mse += float(np.mean((scores.data - target) ** 2))
+            mse += loss_class(CLASS_TARGETS[p.label], scores).item()
             correct += predict_label(scores) == p.label
     return mse / len(pairs), 100.0 * correct / len(pairs)
 
@@ -225,36 +233,24 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
                 if it >= total_iters:
                     break
                 opt.zero_grad()
-                t_sum = s_sum = c_sum = 0.0
                 terms = []
+                items = []
                 for i in batch:
-                    pair = train[i]
-                    synth = model(pair.sound.reshape(1, -1))
-                    t_loss = loss_time(pair.vibration, synth)
-                    s_loss = loss_stft(pair.vibration, synth)
-                    score_s = detector(synth)
-                    if cfg.class_loss_mode == "paired":
-                        with no_grad():
-                            score_y = detector(pair.vibration.reshape(1, -1))
-                        c_loss = loss_class(score_y.data, score_s)
-                    else:
-                        c_loss = _score_mse(score_s, CLASS_TARGETS[pair.label])
-                    terms.append(loss_total(t_loss, s_loss, c_loss, cfg.lam))
-                    t_sum += t_loss.item()
-                    s_sum += s_loss.item()
-                    c_sum += c_loss.item()
-                batch_loss = terms[0]
-                for t in terms[1:]:
-                    batch_loss = batch_loss + t
-                batch_loss = batch_loss / len(terms)
+                    sample = _sample_losses(model, detector, train[i], cfg)
+                    terms.append(loss_total(*sample, cfg.lam))
+                    items.append([t.item() for t in sample])
+                batch_loss = _batch_mean(terms)
                 batch_loss.backward()
                 opt.step()
                 it += 1
 
                 n = len(terms)
-                bd = LossBreakdown.from_components(t_sum / n, s_sum / n, c_sum / n, cfg.lam)
+                bd = LossBreakdown.from_components(*(sum(col) / n for col in zip(*items)), cfg.lam)
+                _require_finite(f"iteration {it}", {"time": bd.time_l1, "stft": bd.stft_l1,
+                                                    "class": bd.class_mse})
                 if it == 1 or it % cfg.val_interval == 0 or it == total_iters:
                     val_total = _transformer_validation(model, detector, val if val else train, cfg)
+                    _require_finite(f"iteration {it}", {"val_total": val_total})
                     if best is None or val_total < best[0]:
                         best = (val_total, it, [t.data.copy() for t in params])
                         if cfg.checkpoint_dir:
@@ -277,19 +273,31 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
     return model, history
 
 
+def _sample_losses(model, detector, pair, cfg):
+    """Time, spectral and class loss tensors of one pair, as ``(time, stft, class)``.
+
+    The class term compares the detector's scores for the synthesized
+    vibration with its scores for the real vibration (``paired``) or with the
+    label's tanh target (``target``).
+    """
+    synth = model(pair.sound.reshape(1, -1))
+    t_loss = loss_time(pair.vibration, synth)
+    s_loss = loss_stft(pair.vibration, synth)
+    score_s = detector(synth)
+    if cfg.class_loss_mode == "paired":
+        with no_grad():
+            score_y = detector(pair.vibration.reshape(1, -1))
+        c_loss = loss_class(score_y.data, score_s)
+    else:
+        c_loss = loss_class(CLASS_TARGETS[pair.label], score_s)
+    return t_loss, s_loss, c_loss
+
+
 def _transformer_validation(model, detector, pairs, cfg):
     total = 0.0
     with no_grad():
         for pair in pairs:
-            synth = model(pair.sound.reshape(1, -1))
-            t_loss = loss_time(pair.vibration, synth).item()
-            s_loss = loss_stft(pair.vibration, synth).item()
-            score_s = detector(synth)
-            if cfg.class_loss_mode == "paired":
-                score_y = detector(pair.vibration.reshape(1, -1))
-                c_loss = loss_class(score_y, score_s).item()
-            else:
-                c_loss = _score_mse(score_s, CLASS_TARGETS[pair.label]).item()
+            t_loss, s_loss, c_loss = (t.item() for t in _sample_losses(model, detector, pair, cfg))
             total += loss_total(t_loss, s_loss, c_loss, cfg.lam)
     return total / len(pairs)
 

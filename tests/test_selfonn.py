@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from opvib.selfonn import (
-    GenerativeLayerParams,
     OperationalLayer,
     OperationalLayerConfig,
     generative_forward,
     init_generative_weights,
-    operational_layer_forward,
     transposed_generative_forward,
 )
 from opvib.tensor import ShapeError, Tensor, conv1d, transposed_conv1d
@@ -99,7 +97,7 @@ def test_activation_none_equals_raw_generative_forward():
     layer = OperationalLayer(cfg, np.random.default_rng(5))
     x = Tensor(np.random.default_rng(6).uniform(-1, 1, (2, 12)).astype(np.float32))
     raw = generative_forward(x, layer.weights, layer.biases, 1, 1).data
-    assert np.array_equal(operational_layer_forward(x, layer).data, raw)
+    assert np.array_equal(layer(x).data, raw)
 
 
 def test_tanh_layer_output_bounded_by_unit_interval():
@@ -146,17 +144,9 @@ def test_gradients_reach_every_q_slice_and_bias():
 
 def test_init_scale_follows_fan_in():
     cfg = OperationalLayerConfig(8, 4, kernel=5, q=3)
-    params = init_generative_weights(np.random.default_rng(1), cfg)
+    weights, biases = init_generative_weights(np.random.default_rng(1), cfg)
     bound = 1.0 / np.sqrt(8 * 5 * 3)
-    assert np.abs(params.weights).max() <= bound
-    assert np.array_equal(params.biases, np.zeros(4, dtype=np.float32))
-    assert params.weights.shape == (3, 4, 8, 5)
+    assert np.abs(weights).max() <= bound
+    assert np.array_equal(biases, np.zeros(4, dtype=np.float32))
+    assert weights.shape == (3, 4, 8, 5)
 
-
-def test_generative_params_validation():
-    with pytest.raises(ShapeError):
-        GenerativeLayerParams(np.zeros((2, 3, 1)), np.zeros(3))
-    with pytest.raises(ShapeError):
-        GenerativeLayerParams(np.zeros((2, 3, 1, 5)), np.zeros(4))
-    with pytest.raises(ValueError):
-        GenerativeLayerParams(np.full((1, 1, 1, 1), np.nan), np.zeros(1))

@@ -104,6 +104,29 @@ def trained_detector(small_dataset):
     return model, split
 
 
+def test_transformer_stops_on_non_finite_loss(small_dataset, trained_detector):
+    from opvib.models import OpUNet
+
+    detector, split = trained_detector
+    model = OpUNet(l_seg=int(RATE), seed=3)
+    bias = dict(model.parameters())["decoder.4.biases"]
+    bias.data[0] = np.nan
+    cfg = TrainConfig(seed=3, max_iterations=4, val_interval=2, l_seg=int(RATE))
+    with pytest.raises(ValueError, match=r"^iteration 1: time is not finite"):
+        train_transformer(split.train, split.val, cfg, detector, model=model)
+
+
+def test_detector_stops_on_non_finite_loss(small_dataset):
+    split = split_dataset(small_dataset, 1010.0, train_seconds=10, val_seconds=4)
+    train = list(split.train)
+    vibration = train[3].vibration.copy()
+    vibration[100] = np.nan
+    train[3] = SegmentPair(train[3].sound, vibration, train[3].label, speed=train[3].speed)
+    cfg = TrainConfig(seed=5, classifier_epochs=3, l_seg=int(RATE))
+    with pytest.raises(ValueError, match=r"^epoch 0: train_mse is not finite"):
+        train_fault_detector(train, split.val, cfg)
+
+
 def test_transformer_freezes_detector(small_dataset, trained_detector):
     detector, split = trained_detector
     before = [t.data.copy() for _, t in detector.parameters()]
