@@ -87,6 +87,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # config-file values are parsed by the subcommand's own flag types
+        p.set_defaults(subparser=p)
         p.add_argument("--seed", type=int, default=None, help="run seed (default: 0)")
         p.add_argument("--reproducible", action="store_true",
                        help="single-threaded, byte-deterministic mode")
@@ -206,29 +208,32 @@ def _read_config_file(path):
     return values
 
 
-def _coerce_like(default, raw):
-    if isinstance(raw, str):
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes", "on")
-        if isinstance(default, int) and not isinstance(default, bool):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-    return raw
+def _coerce(parser, action, raw):
+    """A config-file string parsed as the flag ``action`` parses its argument."""
+    if action.nargs == 0:                      # a store_true switch
+        return raw.lower() in ("1", "true", "yes", "on")
+    try:
+        value = action.type(raw) if action.type else raw
+    except ValueError:
+        parser.error(f"config value {action.dest}={raw!r}: invalid {action.type.__name__} value")
+    if action.choices is not None and value not in action.choices:
+        parser.error(f"config value {action.dest}={raw!r}: choose from "
+                     f"{', '.join(map(repr, action.choices))}")
+    return value
 
 
 def _resolve(args, command):
     """flags > config file > defaults; returns the effective option dict."""
     defaults = dict(_DEFAULTS[command], **_COMMON_DEFAULTS)
     config = _read_config_file(args.config) if args.config else {}
+    actions = {a.dest: a for a in args.subparser._actions}
     resolved = {}
     for key, default in defaults.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
-            reference = default if default is not None else ""
-            resolved[key] = _coerce_like(reference, config[key])
+            resolved[key] = _coerce(args.subparser, actions[key], config[key])
         else:
             resolved[key] = default
     return resolved

@@ -13,12 +13,13 @@ architecture, the named parameter shapes, and free-form training metadata.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .selfonn import OperationalLayer, OperationalLayerConfig
+from .selfonn import OperationalLayer, OperationalLayerConfig, to_gemm_layout, to_paper_layout
 from .tensor import ShapeError, Tensor, concat
 
 __all__ = [
@@ -175,15 +176,12 @@ class OpUNet:
 
     __call__ = forward
 
+    def named_layers(self):
+        return ([(f"encoder.{i}", layer) for i, layer in enumerate(self.encoder)]
+                + [(f"decoder.{i}", layer) for i, layer in enumerate(self.decoder)])
+
     def parameters(self):
-        named = []
-        for i, layer in enumerate(self.encoder):
-            named.append((f"encoder.{i}.weights", layer.weights))
-            named.append((f"encoder.{i}.biases", layer.biases))
-        for i, layer in enumerate(self.decoder):
-            named.append((f"decoder.{i}.weights", layer.weights))
-            named.append((f"decoder.{i}.biases", layer.biases))
-        return named
+        return _named_parameters(self)
 
     def architecture(self):
         return {
@@ -276,15 +274,12 @@ class FaultClassifier:
 
     __call__ = forward
 
+    def named_layers(self):
+        return ([(f"oplayers.{i}", layer) for i, layer in enumerate(self.oplayers)]
+                + [(f"dense.{i}", layer) for i, layer in enumerate(self.dense)])
+
     def parameters(self):
-        named = []
-        for i, layer in enumerate(self.oplayers):
-            named.append((f"oplayers.{i}.weights", layer.weights))
-            named.append((f"oplayers.{i}.biases", layer.biases))
-        for i, layer in enumerate(self.dense):
-            named.append((f"dense.{i}.weights", layer.weights))
-            named.append((f"dense.{i}.biases", layer.biases))
-        return named
+        return _named_parameters(self)
 
     def architecture(self):
         return {
@@ -304,6 +299,31 @@ class FaultClassifier:
 _MODEL_KINDS = {OpUNet.KIND: OpUNet, FaultClassifier.KIND: FaultClassifier}
 
 
+def _parameter_entries(model):
+    """``(name, tensor, config)`` per parameter, in ``parameters()`` order.
+
+    ``config`` is the layer's :class:`OperationalLayerConfig` for generative
+    kernels, which checkpoints store as ``(Q, out, in, K)`` whatever the
+    in-memory layout; it is None for every other parameter.
+    """
+    entries = []
+    for prefix, layer in model.named_layers():
+        config = layer.config if isinstance(layer, OperationalLayer) else None
+        entries.append((f"{prefix}.weights", layer.weights, config))
+        entries.append((f"{prefix}.biases", layer.biases, None))
+    return entries
+
+
+def _named_parameters(model):
+    return [(name, tensor) for name, tensor, _ in _parameter_entries(model)]
+
+
+def _stored_array(tensor, config):
+    if config is None:
+        return tensor.data
+    return to_paper_layout(tensor.data, config.q, config.transposed)
+
+
 def parameter_count(model):
     """Total learnable values: out*in*K*Q + out per operational layer,
     out*in + out per dense layer."""
@@ -315,16 +335,16 @@ def save_checkpoint(model, path, meta=None):
     parent = Path(path).parent
     if parent and not parent.exists():
         parent.mkdir(parents=True, exist_ok=True)
-    named = model.parameters()
+    stored = [(name, _stored_array(t, config)) for name, t, config in _parameter_entries(model)]
     descriptor = {
         "kind": model.KIND,
         "arch": model.architecture(),
-        "params": [[name, list(t.data.shape)] for name, t in named],
+        "params": [[name, list(arr.shape)] for name, arr in stored],
         "meta": meta or {},
     }
     desc_bytes = json.dumps(descriptor, sort_keys=True, separators=(",", ":"),
                             default=float).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(t.data, dtype="<f4").tobytes() for _, t in named)
+    payload = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in stored)
     body = (
         CHECKPOINT_MAGIC
         + CHECKPOINT_VERSION.to_bytes(4, "little")
@@ -338,8 +358,30 @@ def save_checkpoint(model, path, meta=None):
     return path
 
 
+def _is_shape(value):
+    return isinstance(value, list) and all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in value)
+
+
+def _param_shapes(path, descriptor):
+    """The descriptor's ``[[name, shape], ...]`` list, checked entry by entry."""
+    if not isinstance(descriptor, dict):
+        raise CheckpointError(f"{path}: descriptor is a JSON {type(descriptor).__name__}, "
+                              f"not an object")
+    shapes = descriptor.get("params", [])
+    if not isinstance(shapes, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and _is_shape(e[1])
+            for e in shapes):
+        raise CheckpointError(f"{path}: descriptor params must be a list of "
+                              f"[name, shape] pairs with non-negative integer dims")
+    return shapes
+
+
 def load_checkpoint(path):
-    """Rebuild the model from a checkpoint file; returns ``(model, meta)``."""
+    """Rebuild the model from a checkpoint file; returns ``(model, meta)``.
+
+    Malformed files raise :class:`CheckpointError` or a subclass of it.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -355,14 +397,14 @@ def load_checkpoint(path):
         raise TruncatedCheckpointError(f"{path}: file ends inside the descriptor")
     try:
         descriptor = json.loads(blob[12:desc_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: descriptor is not valid JSON: {exc}") from exc
 
     # size checks precede the CRC so truncation reports as truncation,
     # not as generic corruption
     payload = blob[desc_end:-4]
-    shapes = descriptor.get("params", [])
-    needed = sum(int(np.prod(shape)) for _, shape in shapes) * 4
+    shapes = _param_shapes(path, descriptor)
+    needed = sum(math.prod(shape) for _, shape in shapes) * 4
     if len(payload) < needed:
         raise TruncatedCheckpointError(
             f"{path}: payload holds {len(payload)} bytes, descriptor demands {needed}"
@@ -376,22 +418,33 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: CRC mismatch, file is corrupt")
 
     kind = descriptor.get("kind")
-    if kind not in _MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-    model = _MODEL_KINDS[kind].from_architecture(descriptor["arch"])
-    named = dict(model.parameters())
-    if [n for n, _ in shapes] != [n for n, _ in model.parameters()]:
+    meta = descriptor.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta is a JSON {type(meta).__name__}, not an object")
+    arch = descriptor.get("arch")
+    if not isinstance(arch, dict):
+        raise CheckpointError(f"{path}: descriptor has no architecture object")
+    try:
+        model = _MODEL_KINDS[kind].from_architecture(arch)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: cannot build a {kind} from {arch!r}: {exc!r}") from exc
+    entries = _parameter_entries(model)
+    if [n for n, _ in shapes] != [n for n, _, _ in entries]:
         raise PayloadMismatchError(f"{path}: parameter names disagree with the architecture")
     offset = 0
-    for name, shape in shapes:
-        size = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f4", count=size, offset=offset).reshape(shape)
-        offset += size * 4
-        target = named[name]
-        if tuple(shape) != target.data.shape:
+    for (name, shape), (_, target, config) in zip(shapes, entries):
+        expected = _stored_array(target, config).shape
+        if tuple(shape) != expected:
             raise PayloadMismatchError(
                 f"{path}: parameter {name} shape {tuple(shape)} disagrees with "
-                f"the architecture's {target.data.shape}"
+                f"the architecture's {expected}"
             )
-        target.data = arr.astype(np.float32)
-    return model, descriptor.get("meta", {})
+        size = math.prod(shape)
+        arr = np.frombuffer(payload, dtype="<f4", count=size, offset=offset).reshape(shape)
+        offset += size * 4
+        if config is not None:
+            arr = to_gemm_layout(arr, config.transposed)
+        target.data = np.array(arr, dtype=np.float32, order="C")
+    return model, meta

@@ -35,6 +35,8 @@ __all__ = [
     "generative_forward",
     "transposed_generative_forward",
     "init_generative_weights",
+    "to_gemm_layout",
+    "to_paper_layout",
 ]
 
 
@@ -78,57 +80,76 @@ def _power_stack(y, q):
     return power_stack(y, q)
 
 
-def _stacked_conv_weights(weights):
-    # (Q, out, in, K) -> (out, Q*in, K); stacked channel q*in + c carries w[q, :, c, :]
+def to_gemm_layout(weights, transposed=False):
+    """Re-lay ``(Q, out, in, K)`` kernels as the conv consumes them.
+
+    Returns ``(out, Q*in, K)`` for :func:`conv1d`, or ``(Q*in, out, K)`` for
+    :func:`transposed_conv1d` when ``transposed``; stacked channel
+    ``q*in + c`` carries ``w[q, :, c, :]``, matching :func:`power_stack`.
+    Works on arrays and on :class:`Tensor` (differentiably).
+    """
     q, out_ch, in_ch, k = weights.shape
+    if transposed:
+        return weights.transpose(0, 2, 1, 3).reshape(q * in_ch, out_ch, k)
     return weights.transpose(1, 0, 2, 3).reshape(out_ch, q * in_ch, k)
 
 
-def _stacked_tconv_weights(weights):
-    # (Q, out, in, K) -> (Q*in, out, K)
-    q, out_ch, in_ch, k = weights.shape
-    return weights.transpose(0, 2, 1, 3).reshape(q * in_ch, out_ch, k)
+def to_paper_layout(weights, q, transposed=False):
+    """Inverse of :func:`to_gemm_layout` for arrays: back to ``(Q, out, in, K)``."""
+    if transposed:
+        qin, out_ch, k = weights.shape
+        return weights.reshape(q, qin // q, out_ch, k).transpose(0, 2, 1, 3)
+    out_ch, qin, k = weights.shape
+    return weights.reshape(out_ch, q, qin // q, k).transpose(1, 0, 2, 3)
+
+
+def _check_paper_weights(weights):
+    weights = weights if isinstance(weights, Tensor) else Tensor(weights)
+    if weights.data.ndim != 4:
+        raise ShapeError(f"generative weights must be (Q, out, in, K), got {weights.shape}")
+    return weights
 
 
 def generative_forward(y, weights, biases=None, stride=1, padding=0):
     """Forward pass of a generative layer (sum of Q convolutions of input powers).
 
     ``weights`` is ``(Q, out, in, K)``; channel count of ``y`` must equal ``in``.
+    This paper-form reference re-lays the kernels on every call;
+    :class:`OperationalLayer` keeps them in GEMM layout instead.
     """
-    weights = weights if isinstance(weights, Tensor) else Tensor(weights)
-    if weights.data.ndim != 4:
-        raise ShapeError(f"generative weights must be (Q, out, in, K), got {weights.shape}")
-    q = weights.data.shape[0]
-    stacked = _power_stack(y, q)
-    return conv1d(stacked, _stacked_conv_weights(weights), biases, stride, padding)
+    weights = _check_paper_weights(weights)
+    stacked = _power_stack(y, weights.shape[0])
+    return conv1d(stacked, to_gemm_layout(weights), biases, stride, padding)
 
 
 def transposed_generative_forward(y, weights, biases=None, stride=1, padding=0):
     """Transposed (upsampling) analogue: sum of Q adjoint convolutions of powers."""
-    weights = weights if isinstance(weights, Tensor) else Tensor(weights)
-    if weights.data.ndim != 4:
-        raise ShapeError(f"generative weights must be (Q, out, in, K), got {weights.shape}")
-    q = weights.data.shape[0]
-    stacked = _power_stack(y, q)
-    return transposed_conv1d(stacked, _stacked_tconv_weights(weights), biases, stride, padding)
+    weights = _check_paper_weights(weights)
+    stacked = _power_stack(y, weights.shape[0])
+    return transposed_conv1d(stacked, to_gemm_layout(weights, transposed=True), biases,
+                             stride, padding)
 
 
 class OperationalLayer:
-    """One operational layer: trainable generative kernels + optional tanh."""
+    """One operational layer: trainable generative kernels + optional tanh.
+
+    ``weights`` is kept in the GEMM layout of :func:`to_gemm_layout`, so the
+    forward pass hands it to the conv with no re-layout; checkpoints store
+    the ``(Q, out, in, K)`` form.
+    """
 
     def __init__(self, config: OperationalLayerConfig, rng=None, dtype=np.float32):
         self.config = config
         rng = rng if rng is not None else np.random.default_rng()
         weights, biases = init_generative_weights(rng, config, dtype)
-        self.weights = Tensor(weights, requires_grad=True)
+        self.weights = Tensor(np.ascontiguousarray(to_gemm_layout(weights, config.transposed)),
+                              requires_grad=True)
         self.biases = Tensor(biases, requires_grad=True)
 
     def __call__(self, y):
         c = self.config
-        if c.transposed:
-            out = transposed_generative_forward(y, self.weights, self.biases, c.stride, c.padding)
-        else:
-            out = generative_forward(y, self.weights, self.biases, c.stride, c.padding)
+        conv = transposed_conv1d if c.transposed else conv1d
+        out = conv(_power_stack(y, c.q), self.weights, self.biases, c.stride, c.padding)
         if c.activation == "tanh":
             out = out.tanh()
         return out

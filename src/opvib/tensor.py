@@ -361,11 +361,15 @@ def _check_conv_args(stride, padding):
 
 
 def _im2col(xp, k, stride):
-    # xp: (C, L_padded) -> (C*K, L_out), channel-major / tap-minor rows
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-    cols = win[:, ::stride, :]
-    c, l_out, _ = cols.shape
-    return np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(c * k, l_out)
+    # xp: (C, L_padded) -> (C*K, L_out), channel-major / tap-minor rows; the
+    # reshape copies the (C, K, L_out) window view once, and ascontiguousarray
+    # copies only where K = 1 lets the reshape stay a strided view
+    c, length = xp.shape
+    l_out = (length - k) // stride + 1
+    row, col = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (c, k, l_out), (row, col, col * stride),
+                                          writeable=False)
+    return np.ascontiguousarray(win.reshape(c * k, l_out))
 
 
 def conv1d(x, weights, bias=None, stride=1, padding=0):
@@ -397,7 +401,11 @@ def conv1d(x, weights, bias=None, stride=1, padding=0):
         if bias.data.shape != (c_out,):
             raise ShapeError(f"bias shape {bias.data.shape} != ({c_out},)")
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding))) if padding else x.data
+    if padding:
+        xp = np.zeros((c_in, length + 2 * padding), dtype=x.dtype)
+        xp[:, padding : padding + length] = x.data
+    else:
+        xp = x.data
     cols = _im2col(xp, k, stride)
     w2 = weights.data.reshape(c_out, c_in * k)
     out_data = w2 @ cols

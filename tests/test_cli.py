@@ -170,6 +170,25 @@ def test_config_file_overrides_defaults_and_flags_override_config(tmp_path, caps
     assert wavs == 2 * (1 + 2)
 
 
+@pytest.mark.parametrize("key,flag,value", [("l_seg", "--l-seg", str(RATE)),
+                                            ("held_out_speed", "--held-out-speed", "680")])
+def test_config_value_parses_like_its_flag(dataset, tmp_path, capsys, key, flag, value):
+    # options whose default is None used to keep the config file's string
+    argv = ["train-detector", "--manifest", str(dataset / "manifest.tsv"),
+            "--out", str(tmp_path / "det.opvb"), "--epochs", "1",
+            "--train-seconds", "12", "--val-seconds", "4"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert run(argv + ["--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out.splitlines()[0]
+    assert run(argv + [flag, value]) == 0
+    assert from_config == capsys.readouterr().out.splitlines()[0]
+
+    cfg.write_text(f"{key}=fast\n")
+    assert run(argv + ["--config", str(cfg)]) == 2
+    assert f"config value {key}='fast'" in capsys.readouterr().err
+
+
 def test_resolved_config_is_echoed(dataset, capsys):
     run(["evaluate", "--detector", "missing.opvb", "--manifest", str(dataset / "manifest.tsv")])
     out = capsys.readouterr().out

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from opvib.models import (
     CLASS_TARGETS,
+    CheckpointError,
     CheckpointVersionError,
     ConfigError,
     FaultClassifier,
@@ -16,7 +20,16 @@ from opvib.models import (
     save_checkpoint,
 )
 from opvib.optim import Adam
+from opvib.selfonn import OperationalLayer, generative_forward, transposed_generative_forward
 from opvib.tensor import ShapeError, Tensor, no_grad
+from util import checkpoint_arrays, checkpoint_parts, with_descriptor
+
+# sha256 and size of save_checkpoint(Model(seed=0), path, meta={"seed": 0}); the
+# bytes were first written when layers held (Q, out, in, K) kernels in memory
+GOLDEN_CHECKPOINTS = {
+    OpUNet: ("13d2cc0a9196e20b290179bd566a4e5623d3c642b03ba88b81f427fd113116b6", 1_568_853),
+    FaultClassifier: ("2ae4ac5b775fefff04bf488fada5d55918cdb61690a26dc87e1edf5dfbe210c7", 283_067),
+}
 
 
 def unit_input(l_seg, seed=0):
@@ -216,8 +229,6 @@ def test_checkpoint_oversize_payload_is_mismatch(tmp_path):
 
 
 def test_checkpoint_bit_flip_fails_crc(tmp_path):
-    from opvib.models import CheckpointError
-
     path = tmp_path / "flip.opvb"
     save_checkpoint(OpUNet(l_seg=256), path)
     blob = bytearray(path.read_bytes())
@@ -236,3 +247,52 @@ def test_parameter_count_matches_one_optimizer_step(tmp_path):
     Adam(params, lr=1e-3).step()
     changed = sum(int(np.sum(b != t.data)) for b, t in zip(before, params))
     assert changed == parameter_count(net)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: [d],                                   # descriptor is not a JSON object
+    lambda d: dict(d, params=5),                     # params is not a list
+    lambda d: {k: v for k, v in d.items() if k != "arch"},
+    lambda d: dict(d, arch=dict(d["arch"], channels="wide")),
+    lambda d: dict(d, kind=["opunet"]),
+    lambda d: dict(d, meta=[1]),
+], ids=["not-object", "params-not-list", "no-arch", "bad-arch", "unhashable-kind",
+        "meta-not-object"])
+def test_checkpoint_malformed_descriptor_is_checkpoint_error(tmp_path, mutate):
+    # CRC-valid files whose descriptor is well-formed JSON of the wrong structure
+    path = tmp_path / "bad.opvb"
+    save_checkpoint(OpUNet(l_seg=256), path)
+    blob = path.read_bytes()
+    descriptor = json.loads(checkpoint_parts(blob)[0])
+    path.write_bytes(with_descriptor(blob, json.dumps(mutate(descriptor)).encode()))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("klass", [OpUNet, FaultClassifier])
+def test_checkpoint_keeps_golden_bytes_and_paper_form_forward(tmp_path, klass):
+    # the seed-0 file keeps its golden bytes; loading it gives the saved model's
+    # forward bit for bit, and every generative layer computes the paper-form
+    # reference on the stored (Q, out, in, K) kernels, as the layers that first
+    # wrote these bytes did
+    path = tmp_path / f"{klass.KIND}.opvb"
+    save_checkpoint(klass(seed=0), path, meta={"seed": 0})
+    blob = path.read_bytes()
+    assert (hashlib.sha256(blob).hexdigest(), len(blob)) == GOLDEN_CHECKPOINTS[klass]
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"seed": 0}
+    x = unit_input(4096, 3)
+    with no_grad():
+        assert np.array_equal(loaded(x).data, klass(seed=0)(x).data)
+    stored = checkpoint_arrays(blob)
+    rng = np.random.default_rng(4)
+    for prefix, layer in loaded.named_layers():
+        if not isinstance(layer, OperationalLayer):
+            continue
+        c = layer.config
+        reference = transposed_generative_forward if c.transposed else generative_forward
+        y = Tensor(rng.uniform(-1, 1, (c.in_channels, 64)).astype(np.float32))
+        with no_grad():
+            expected = reference(y, stored[f"{prefix}.weights"], stored[f"{prefix}.biases"],
+                                 c.stride, c.padding).tanh()
+            assert np.array_equal(layer(y).data, expected.data), prefix

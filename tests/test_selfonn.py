@@ -6,6 +6,8 @@ from opvib.selfonn import (
     OperationalLayerConfig,
     generative_forward,
     init_generative_weights,
+    to_gemm_layout,
+    to_paper_layout,
     transposed_generative_forward,
 )
 from opvib.tensor import ShapeError, Tensor, conv1d, transposed_conv1d
@@ -96,8 +98,40 @@ def test_activation_none_equals_raw_generative_forward():
     cfg = OperationalLayerConfig(2, 3, kernel=3, q=2, stride=1, padding=1, activation="none")
     layer = OperationalLayer(cfg, np.random.default_rng(5))
     x = Tensor(np.random.default_rng(6).uniform(-1, 1, (2, 12)).astype(np.float32))
-    raw = generative_forward(x, layer.weights, layer.biases, 1, 1).data
+    paper = to_paper_layout(layer.weights.data, cfg.q)
+    raw = generative_forward(x, paper, layer.biases, 1, 1).data
     assert np.array_equal(layer(x).data, raw)
+
+
+def test_layers_equal_the_paper_form_reference():
+    # the stored GEMM-layout kernels, laid back out as (Q, out, in, K), give the
+    # paper-form forward bit for bit, strided and transposed, with tanh
+    rng = np.random.default_rng(13)
+    cases = [
+        (OperationalLayerConfig(3, 5, kernel=7, q=3, stride=2, padding=3), generative_forward),
+        (OperationalLayerConfig(4, 2, kernel=4, q=3, stride=2, padding=1, transposed=True),
+         transposed_generative_forward),
+    ]
+    for cfg, reference in cases:
+        layer = OperationalLayer(cfg, rng)
+        layer.biases.data[:] = rng.standard_normal(cfg.out_channels)
+        x = Tensor(rng.uniform(-1, 1, (cfg.in_channels, 32)).astype(np.float32))
+        paper = to_paper_layout(layer.weights.data, cfg.q, cfg.transposed)
+        assert paper.shape == (cfg.q, cfg.out_channels, cfg.in_channels, cfg.kernel)
+        assert np.array_equal(to_gemm_layout(paper, cfg.transposed), layer.weights.data)
+        expected = reference(x, paper, layer.biases, cfg.stride, cfg.padding).tanh().data
+        assert np.array_equal(layer(x).data, expected)
+
+
+def test_layer_weights_feed_the_conv_directly():
+    # no re-layout node between the trainable kernels and the conv
+    for transposed in (False, True):
+        cfg = OperationalLayerConfig(2, 3, kernel=4, q=2, stride=2, padding=1,
+                                     transposed=transposed, activation="none")
+        layer = OperationalLayer(cfg, np.random.default_rng(14))
+        out = layer(Tensor(np.random.default_rng(15).uniform(-1, 1, (2, 16)).astype(np.float32)))
+        assert any(parent is layer.weights for parent in out._parents)
+        assert layer.weights.shape == ((4, 3, 4) if transposed else (3, 4, 4))
 
 
 def test_tanh_layer_output_bounded_by_unit_interval():
@@ -116,7 +150,8 @@ def test_preactivation_bound_from_bounded_inputs():
     layer = OperationalLayer(cfg, rng)
     y = rng.uniform(-1, 1, (2, 40)).astype(np.float32)
     out = layer(Tensor(y)).data
-    bound = np.abs(layer.weights.data).sum(axis=(0, 2, 3)) + np.abs(layer.biases.data)
+    # weights are (out, Q*in, K): sum every coefficient feeding one output channel
+    bound = np.abs(layer.weights.data).sum(axis=(1, 2)) + np.abs(layer.biases.data)
     assert np.all(np.abs(out) <= bound[:, None] + 1e-6)
 
 
@@ -149,4 +184,8 @@ def test_init_scale_follows_fan_in():
     assert np.abs(weights).max() <= bound
     assert np.array_equal(biases, np.zeros(4, dtype=np.float32))
     assert weights.shape == (3, 4, 8, 5)
+    # a layer keeps the same draw, re-laid out once to (out, Q*in, K)
+    layer = OperationalLayer(cfg, np.random.default_rng(1))
+    assert layer.weights.shape == (4, 3 * 8, 5)
+    assert np.array_equal(layer.weights.data, to_gemm_layout(weights))
 

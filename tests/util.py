@@ -1,7 +1,9 @@
 """Shared test oracles, kept independent of the library's own code paths,
 and the environment for tests that run the CLI in a child process."""
 
+import json
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +79,29 @@ def brute_confusion(predictions, labels):
         else:
             fn += 1
     return tp, fp, tn, fn
+
+
+def checkpoint_parts(blob):
+    """Split ``.opvb`` bytes into (descriptor bytes, payload bytes), read by
+    the documented wire layout rather than by the loader."""
+    desc_len = int.from_bytes(blob[8:12], "little")
+    return blob[12:12 + desc_len], blob[12 + desc_len:-4]
+
+
+def checkpoint_arrays(blob):
+    """{name: float32 array} in the shapes the descriptor records."""
+    desc, payload = checkpoint_parts(blob)
+    arrays, offset = {}, 0
+    for name, shape in json.loads(desc)["params"]:
+        size = int(np.prod(shape))
+        arrays[name] = np.frombuffer(payload, "<f4", size, offset).reshape(shape)
+        offset += 4 * size
+    return arrays
+
+
+def with_descriptor(blob, desc):
+    """The checkpoint ``blob`` with its descriptor replaced and the CRC redone,
+    so a loader gets past the checksum to the descriptor's contents."""
+    _, payload = checkpoint_parts(blob)
+    body = blob[:8] + len(desc).to_bytes(4, "little") + desc + payload
+    return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
