@@ -22,6 +22,8 @@ learnable path from sound to vibration.
 
 from __future__ import annotations
 
+import io
+import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,16 +64,33 @@ VALID_LABELS = ("healthy", "faulty")
 
 
 def load_recording(path):
-    """Read a mono recording (WAV PCM16/float32 or headed CSV) into a Signal."""
+    """Read a mono recording (WAV PCM16/float32 or headed CSV) into a Signal.
+
+    Malformed files raise :class:`DataError`; bad contents of a readable
+    file (encoding, sample rate, non-finite samples) raise
+    :class:`AudioFormatError`.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
-    if path.suffix.lower() == ".csv":
-        return _load_csv(path)
+    samples, rate = _read_csv(path) if path.suffix.lower() == ".csv" else _read_wav(path)
+    try:
+        return Signal(samples, rate)
+    except ValueError as exc:
+        raise AudioFormatError(f"{path}: {exc}") from exc
+
+
+# what scipy's WAV reader raises on malformed headers besides ValueError:
+# each one was seen on truncated or bit-flipped files
+_WAV_PARSE_ERRORS = (ValueError, struct.error, TypeError, ZeroDivisionError,
+                     UnboundLocalError)
+
+
+def _read_wav(path):
     try:
         rate, data = wavfile.read(str(path))
-    except ValueError as exc:
-        raise AudioFormatError(f"{path}: unreadable WAV ({exc})") from exc
+    except _WAV_PARSE_ERRORS as exc:
+        raise AudioFormatError(f"{path}: unreadable WAV ({exc!r})") from exc
     if data.ndim != 1:
         raise AudioFormatError(
             f"{path}: mono required, file has {data.shape[1]} channels"
@@ -84,11 +103,15 @@ def load_recording(path):
         raise AudioFormatError(
             f"{path}: unsupported sample encoding {data.dtype}; expected PCM16 or IEEE float32"
         )
-    return Signal(samples, float(rate))
+    return samples, float(rate)
 
 
-def _load_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
+def _read_csv(path):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AudioFormatError(f"{path}: CSV is not UTF-8 text ({exc})") from exc
+    with io.StringIO(text, newline=None) as fh:
         header = fh.readline().strip()
         if not header.startswith("sample_rate_hz="):
             raise DataError(
@@ -109,7 +132,7 @@ def _load_csv(path):
                 raise DataError(f"{path}:{lineno}: non-numeric sample {line!r}") from exc
     if not values:
         raise DataError(f"{path}: CSV contains no samples")
-    return Signal(np.asarray(values, dtype=np.float32), rate)
+    return np.asarray(values, dtype=np.float32), rate
 
 
 def write_wav(path, signal: Signal):
@@ -151,7 +174,11 @@ def load_manifest(path):
         raise ManifestError(f"{path}: no such manifest")
     base = path.parent
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: manifest is not UTF-8 text ({exc})") from exc
+    with io.StringIO(text, newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -164,7 +191,7 @@ def load_manifest(path):
             sound_p = base / fields[0]
             vib_p = base / fields[1]
             for p in (sound_p, vib_p):
-                if not p.exists():
+                if not _is_file(p):
                     raise ManifestError(f"{path}:{lineno}: referenced file missing: {p}")
             label = fields[2]
             if label not in VALID_LABELS:
@@ -186,6 +213,14 @@ def load_manifest(path):
             entries.append(ManifestEntry(sound_p, vib_p, label, fields[3], speed,
                                          fields[5], fields[6], duration))
     return DatasetManifest(path, entries)
+
+
+def _is_file(path):
+    # a name too long for the file system is as missing as a nonexistent one
+    try:
+        return path.is_file()
+    except OSError:
+        return False
 
 
 def _normalize_with_flag(x):

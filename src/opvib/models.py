@@ -16,6 +16,7 @@ import json
 import math
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "CheckpointVersionError",
     "TruncatedCheckpointError",
     "PayloadMismatchError",
+    "DenseConfig",
     "DenseLayer",
     "OpUNet",
     "FaultClassifier",
@@ -79,6 +81,12 @@ def predict_label(scores):
     return "healthy" if int(np.argmax(arr.reshape(-1))) == 0 else "faulty"
 
 
+class DenseConfig(NamedTuple):
+    n_in: int
+    n_out: int
+    activation: str = "tanh"
+
+
 class DenseLayer:
     """Fully connected layer on row vectors: ``(1, n) @ W + b``."""
 
@@ -112,12 +120,13 @@ class OpUNet:
     """
 
     KIND = "opunet"
+    STRIDE = 2
 
     def __init__(self, l_seg=4096, channels=(8, 16, 32, 64, 128), kernel=7,
                  decoder_kernel=4, q=3, seed=0, dtype=np.float32):
         if len(channels) != 5:
             raise ConfigError(f"expected 5 encoder widths, got {channels!r}")
-        stride = 2
+        stride = self.STRIDE
         down = stride ** len(channels)
         if l_seg % down != 0 or l_seg < down:
             raise ConfigError(
@@ -139,25 +148,28 @@ class OpUNet:
         self.dtype = np.dtype(dtype)
 
         rng = np.random.default_rng(seed)
-        enc_pad = (kernel - 1) // 2
-        dec_pad = (decoder_kernel - stride) // 2
-        enc_in = (1,) + self.channels[:-1]
-        self.encoder = [
-            OperationalLayer(
-                OperationalLayerConfig(enc_in[i], self.channels[i], kernel, q,
-                                       stride=stride, padding=enc_pad),
-                rng, dtype)
-            for i in range(5)
-        ]
-        dec_out = self.channels[-2::-1] + (1,)            # (c4, c3, c2, c1, 1)
-        dec_in = (self.channels[-1],) + tuple(2 * c for c in self.channels[-2:0:-1]) + (2 * self.channels[0],)
-        self.decoder = [
-            OperationalLayer(
-                OperationalLayerConfig(dec_in[i], dec_out[i], decoder_kernel, q,
-                                       stride=stride, padding=dec_pad, transposed=True),
-                rng, dtype)
-            for i in range(5)
-        ]
+        layers = [OperationalLayer(config, rng, dtype)
+                  for _, config in self.layer_plan(self.architecture())]
+        self.encoder, self.decoder = layers[:5], layers[5:]
+
+    @classmethod
+    def layer_plan(cls, arch):
+        """``[(name, OperationalLayerConfig), ...]`` of the layers ``arch`` builds,
+        in :meth:`named_layers` order, computed without allocating them."""
+        channels = tuple(int(c) for c in arch["channels"])
+        kernel, decoder_kernel, q = int(arch["kernel"]), int(arch["decoder_kernel"]), int(arch["q"])
+        stride = cls.STRIDE
+        enc_in = (1,) + channels[:-1]
+        encoder = [OperationalLayerConfig(enc_in[i], channels[i], kernel, q, stride=stride,
+                                          padding=(kernel - 1) // 2)
+                   for i in range(5)]
+        dec_out = channels[-2::-1] + (1,)            # (c4, c3, c2, c1, 1)
+        dec_in = (channels[-1],) + tuple(2 * c for c in channels[-2:0:-1]) + (2 * channels[0],)
+        decoder = [OperationalLayerConfig(dec_in[i], dec_out[i], decoder_kernel, q, stride=stride,
+                                          padding=(decoder_kernel - stride) // 2, transposed=True)
+                   for i in range(5)]
+        return ([(f"encoder.{i}", c) for i, c in enumerate(encoder)]
+                + [(f"decoder.{i}", c) for i, c in enumerate(decoder)])
 
     def forward(self, sound):
         """Map a ``(1, l_seg)`` sound map to a ``(1, l_seg)`` vibration map."""
@@ -234,28 +246,36 @@ class FaultClassifier:
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
 
+        plan = self.layer_plan(self.architecture())
         rng = np.random.default_rng(seed)
-        in_ch = (1,) + (hidden_channels,) * 4
-        self.oplayers = []
-        length = self.l_seg
+        self.oplayers = [OperationalLayer(config, rng, dtype) for _, config in plan[:5]]
+        self.dense = [DenseLayer(*config, rng=rng, dtype=dtype) for _, config in plan[5:]]
+        self.flat_size = self.dense[0].n_in
+        self.feature_length = self.flat_size // self.hidden_channels
+
+    @classmethod
+    def layer_plan(cls, arch):
+        """``[(name, OperationalLayerConfig | DenseConfig), ...]`` of the layers
+        ``arch`` builds, in :meth:`named_layers` order, computed without
+        allocating them."""
+        l_seg, hidden, q = int(arch["l_seg"]), int(arch["hidden_channels"]), int(arch["q"])
+        in_ch = (1,) + (hidden,) * 4
+        plan = []
+        length = l_seg
         for i in range(5):
-            cfg = OperationalLayerConfig(in_ch[i], hidden_channels, self.KERNELS[i], q,
-                                         stride=self.STRIDES[i],
-                                         padding=(self.KERNELS[i] - 1) // 2)
-            layer = OperationalLayer(cfg, rng, dtype)
-            length = layer.output_length(length)
+            config = OperationalLayerConfig(in_ch[i], hidden, cls.KERNELS[i], q,
+                                            stride=cls.STRIDES[i],
+                                            padding=(cls.KERNELS[i] - 1) // 2)
+            length = config.output_length(length)
             if length < 1:
                 raise ConfigError(
                     f"segment length {l_seg} collapses to {length} samples at layer {i}; "
                     f"the stride chain requires a longer input"
                 )
-            self.oplayers.append(layer)
-        self.feature_length = length
-        self.flat_size = hidden_channels * length
-        self.dense = [
-            DenseLayer(self.flat_size, dense_hidden, "tanh", rng, dtype),
-            DenseLayer(dense_hidden, 2, "tanh", rng, dtype),
-        ]
+            plan.append((f"oplayers.{i}", config))
+        dense_hidden = int(arch["dense_hidden"])
+        return plan + [("dense.0", DenseConfig(hidden * length, dense_hidden)),
+                       ("dense.1", DenseConfig(dense_hidden, 2))]
 
     def forward(self, vibration):
         """Score a ``(1, l_seg)`` vibration map; returns a length-2 tensor."""
@@ -316,6 +336,18 @@ def _parameter_entries(model):
 
 def _named_parameters(model):
     return [(name, tensor) for name, tensor, _ in _parameter_entries(model)]
+
+
+def _stored_shapes(plan):
+    """``[(name, shape), ...]`` a checkpoint stores for a ``layer_plan``."""
+    shapes = []
+    for prefix, c in plan:
+        if isinstance(c, DenseConfig):
+            weights, out = (c.n_in, c.n_out), c.n_out
+        else:
+            weights, out = (c.q, c.out_channels, c.in_channels, c.kernel), c.out_channels
+        shapes += [(f"{prefix}.weights", weights), (f"{prefix}.biases", (out,))]
+    return shapes
 
 
 def _stored_array(tensor, config):
@@ -426,21 +458,28 @@ def load_checkpoint(path):
     arch = descriptor.get("arch")
     if not isinstance(arch, dict):
         raise CheckpointError(f"{path}: descriptor has no architecture object")
+    # the descriptor's shapes are checked against the architecture's before
+    # the model is built, so an arch asking for more than the payload holds
+    # raises here instead of allocating it
+    model_class = _MODEL_KINDS[kind]
     try:
-        model = _MODEL_KINDS[kind].from_architecture(arch)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        expected = _stored_shapes(model_class.layer_plan(arch))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: cannot build a {kind} from {arch!r}: {exc!r}") from exc
-    entries = _parameter_entries(model)
-    if [n for n, _ in shapes] != [n for n, _, _ in entries]:
+    if [n for n, _ in shapes] != [n for n, _ in expected]:
         raise PayloadMismatchError(f"{path}: parameter names disagree with the architecture")
-    offset = 0
-    for (name, shape), (_, target, config) in zip(shapes, entries):
-        expected = _stored_array(target, config).shape
-        if tuple(shape) != expected:
+    for (name, shape), (_, want) in zip(shapes, expected):
+        if tuple(shape) != want:
             raise PayloadMismatchError(
                 f"{path}: parameter {name} shape {tuple(shape)} disagrees with "
-                f"the architecture's {expected}"
+                f"the architecture's {want}"
             )
+    try:
+        model = model_class.from_architecture(arch)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: cannot build a {kind} from {arch!r}: {exc!r}") from exc
+    offset = 0
+    for (_, shape), (_, target, config) in zip(shapes, _parameter_entries(model)):
         size = math.prod(shape)
         arr = np.frombuffer(payload, dtype="<f4", count=size, offset=offset).reshape(shape)
         offset += size * 4

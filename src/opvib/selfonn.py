@@ -60,6 +60,12 @@ class OperationalLayerConfig:
         if self.padding < 0:
             raise ValueError("padding must be >= 0")
 
+    def output_length(self, length):
+        """Samples out for ``length`` samples in (< 1 when the input is too short)."""
+        if self.transposed:
+            return (length - 1) * self.stride + self.kernel - 2 * self.padding
+        return (length + 2 * self.padding - self.kernel) // self.stride + 1
+
 
 def init_generative_weights(rng, config: OperationalLayerConfig, dtype=np.float32):
     """Uniform init in [-s, s] with s = 1/sqrt(in*K*Q), the same scale per q slice.
@@ -153,12 +159,6 @@ class OperationalLayer:
         if c.activation == "tanh":
             out = out.tanh()
         return out
-
-    def output_length(self, length):
-        c = self.config
-        if c.transposed:
-            return (length - 1) * c.stride + c.kernel - 2 * c.padding
-        return (length + 2 * c.padding - c.kernel) // c.stride + 1
 
     def parameters(self):
         return [self.weights, self.biases]

@@ -40,8 +40,8 @@ class Signal:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.samples = arr.reshape(-1)
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if not self.sample_rate_hz > 0 or not np.isfinite(self.sample_rate_hz):
+            raise ValueError(f"sample rate must be positive and finite, got {self.sample_rate_hz}")
         if not np.isfinite(self.samples).all():
             raise ValueError("signal samples must be finite")
 

@@ -6,10 +6,11 @@ chain rule backwards, so a scalar loss can be differentiated with respect
 to every parameter that participated in the forward pass.
 
 Convolutions are lowered to an im2col matrix product with a fixed
-reduction order (channels outer, taps inner), which keeps repeated runs
-bit-identical on the same machine.  Training numerics default to float32;
-gradient verification against finite differences is done in float64 by
-the test suite.
+reduction order (channels outer, taps inner), and a convolution's input
+gradient to one such product per stride phase, taken in phase order, so
+repeated runs are bit-identical on the same machine.  Training numerics
+default to float32; gradient verification against finite differences is
+done in float64 by the test suite.
 """
 
 from __future__ import annotations
@@ -407,11 +408,10 @@ def conv1d(x, weights, bias=None, stride=1, padding=0):
     else:
         xp = x.data
     cols = _im2col(xp, k, stride)
-    w2 = weights.data.reshape(c_out, c_in * k)
-    out_data = w2 @ cols
+    w = weights.data
+    out_data = w.reshape(c_out, c_in * k) @ cols
     if bias is not None:
         out_data = out_data + bias.data[:, None]
-    l_out = out_data.shape[1]
 
     parents = (x, weights) if bias is None else (x, weights, bias)
 
@@ -421,13 +421,43 @@ def conv1d(x, weights, bias=None, stride=1, padding=0):
         if weights.requires_grad:
             weights._accumulate((g @ cols.T).reshape(c_out, c_in, k))
         if x.requires_grad:
-            gcols = (w2.T @ g).reshape(c_in, k, l_out)
-            gxp = np.zeros_like(xp)
-            for r in range(k):
-                gxp[:, r : r + stride * l_out : stride] += gcols[:, r, :]
-            x._accumulate(gxp[:, padding : padding + length] if padding else gxp)
+            x._accumulate(_conv1d_input_grad(g, w, stride, padding, length))
 
     return Tensor._result(out_data, parents, backward)
+
+
+def _conv1d_input_grad(g, w, stride, padding, length):
+    """Gradient of :func:`conv1d` w.r.t. its ``(C_in, length)`` input, by phases.
+
+    Padded input position ``m*stride + t`` only meets taps ``t, t+stride, ...``,
+    so each phase ``t`` is a stride-1 correlation of ``g`` with its flipped
+    sub-kernel ``w[:, :, t::stride]``: one im2col GEMM per phase instead of a
+    strided scatter per tap.  Positions no window covers stay exactly 0.
+    """
+    c_out, c_in, k = w.shape
+    l_out = g.shape[1]
+    taps = -(-k // stride)                     # taps of phase 0, the longest
+    gpad = np.zeros((c_out, l_out + 2 * (taps - 1)), dtype=g.dtype)
+    gpad[:, taps - 1 : taps - 1 + l_out] = g
+    gx = np.zeros((c_in, length), dtype=g.dtype)
+    w_rows = w.transpose(0, 2, 1)
+    for t in range(min(stride, k)):
+        m_t = -(-(k - t) // stride)            # taps of phase t
+        # phase-t outputs m cover padded positions m*stride + t; keep those
+        # inside the unpadded input, m in [lo, hi)
+        lo = max(0, -(-(padding - t) // stride))
+        hi = min(l_out + m_t - 1, -(-(padding + length - t) // stride))
+        if hi <= lo:
+            continue
+        start = taps - m_t + lo
+        cols = _im2col(gpad[:, start : start + hi - lo + m_t - 1], m_t, 1)
+        # the flipped sub-kernel gathered as (C_out*M_t, C_in) rows (o, v):
+        # this order copies faster than (C_in, C_out*M_t), and matmul takes
+        # its transposed view without a second copy
+        sub = w_rows[:, t::stride][:, ::-1].reshape(c_out * m_t, c_in).T
+        first = lo * stride + t - padding
+        gx[:, first : first + (hi - lo - 1) * stride + 1 : stride] = sub @ cols
+    return gx
 
 
 def transposed_conv1d(x, weights, bias=None, stride=1, padding=0):
@@ -478,10 +508,7 @@ def transposed_conv1d(x, weights, bias=None, stride=1, padding=0):
             bias._accumulate(g.sum(axis=1))
         gfull = np.zeros((c_out, l_full), dtype=g.dtype)
         gfull[:, padding : l_full - padding] = g
-        gcols = np.empty((c_out, k, length), dtype=g.dtype)
-        for r in range(k):
-            gcols[:, r, :] = gfull[:, r : r + span : stride]
-        gcols_m = gcols.reshape(c_out * k, length)
+        gcols_m = _im2col(gfull, k, stride)
         if weights.requires_grad:
             weights._accumulate((x.data @ gcols_m.T).reshape(c_in, c_out, k))
         if x.requires_grad:

@@ -153,6 +153,7 @@ def overfit_run(tmp_path_factory):
             "minutes": (time.perf_counter() - t0) / 60.0}
 
 
+@pytest.mark.slow
 def test_a05_overfit_reduces_time_loss_tenfold(overfit_run):
     history = overfit_run["history"]
     initial = history[0]["time"]
@@ -164,6 +165,7 @@ def test_a05_overfit_reduces_time_loss_tenfold(overfit_run):
     assert overfit_run["minutes"] < 15.0
 
 
+@pytest.mark.slow
 def test_a05_overfit_synthesis_matches_spectral_peaks(overfit_run):
     model = overfit_run["model"]
     matched = total = 0
@@ -204,6 +206,7 @@ def detection_gap_run(tmp_path_factory):
             "minutes": (time.perf_counter() - t0) / 60.0}
 
 
+@pytest.mark.slow
 def test_a06_detection_gap_between_real_and_synthesized(detection_gap_run):
     acc_real = detection_gap_run["real"].accuracy
     acc_synth = detection_gap_run["synth"].accuracy
@@ -304,6 +307,7 @@ def _reproducible_pipeline(workdir, seed):
     return outputs
 
 
+@pytest.mark.slow
 def test_a10_reproducible_runs_are_byte_identical(tmp_path):
     run_a = tmp_path / "run_a"
     run_b = tmp_path / "run_b"
@@ -321,6 +325,7 @@ def test_a10_reproducible_runs_are_byte_identical(tmp_path):
 # -- optional criterion 11: real benchmark recordings ------------------------------
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     "OPVIB_BENCH_MANIFEST" not in os.environ,
     reason="real benchmark recordings not available (set OPVIB_BENCH_MANIFEST)",

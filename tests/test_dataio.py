@@ -65,6 +65,27 @@ def test_csv_errors(tmp_path):
         load_recording(bad_value)
 
 
+@pytest.mark.parametrize("name,blob,match", [
+    ("zero_rate.csv", b"sample_rate_hz=0\n0.5\n", "sample rate"),
+    ("nan_rate.csv", b"sample_rate_hz=nan\n0.5\n", "sample rate"),
+    ("nan_sample.csv", b"sample_rate_hz=100\n0.5\nnan\n", "finite"),
+    ("latin1.csv", b"sample_rate_hz=100\n\xe9\n", "UTF-8"),
+    ("short_header.wav", b"RIFF\x24\x00\x00\x00WAVEfmt ", "unreadable WAV"),
+])
+def test_malformed_recording_is_audio_format_error(tmp_path, name, blob, match):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    with pytest.raises(AudioFormatError, match=match):
+        load_recording(path)
+
+
+def test_zero_rate_wav_is_audio_format_error(tmp_path):
+    path = tmp_path / "zero.wav"
+    wavfile.write(str(path), 0, np.zeros(8, dtype=np.float32))
+    with pytest.raises(AudioFormatError, match="sample rate"):
+        load_recording(path)
+
+
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_recording(tmp_path / "nope.wav")
@@ -107,6 +128,21 @@ def test_manifest_bad_label_and_speed(tmp_path):
     mpath.write_text(good + "\thealthy\tm1\tfast\tL1\tacc1\t1.0\n")
     with pytest.raises(ManifestError, match="speed"):
         load_manifest(mpath)
+
+
+def test_non_utf8_manifest_is_manifest_error(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(_write_pair(tmp_path, "a").encode() + b"\thealthy\tm\t1\tl\t\xff\t1\n")
+    with pytest.raises(ManifestError, match="UTF-8"):
+        load_manifest(path)
+
+
+def test_manifest_directory_is_not_a_recording(tmp_path):
+    path = tmp_path / "m.tsv"
+    _write_pair(tmp_path, "a")
+    path.write_text(".\ta_v.wav\thealthy\tm\t1\tl\ts\t1\n")
+    with pytest.raises(ManifestError, match="missing"):
+        load_manifest(path)
 
 
 def test_manifest_wrong_field_count(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from opvib.models import (
     CheckpointError,
     CheckpointVersionError,
     ConfigError,
+    DenseConfig,
     FaultClassifier,
     NotACheckpointError,
     OpUNet,
@@ -148,7 +150,7 @@ def test_classifier_stride_chain_matches_dense_input():
         assert clf.dense[0].n_in == clf.flat_size
         length = l_seg
         for layer in clf.oplayers:
-            length = layer.output_length(length)
+            length = layer.config.output_length(length)
         assert length == clf.feature_length
 
 
@@ -296,3 +298,43 @@ def test_checkpoint_keeps_golden_bytes_and_paper_form_forward(tmp_path, klass):
             expected = reference(y, stored[f"{prefix}.weights"], stored[f"{prefix}.biases"],
                                  c.stride, c.padding).tanh()
             assert np.array_equal(layer(y).data, expected.data), prefix
+
+
+@pytest.mark.parametrize("model", [
+    OpUNet(l_seg=64, channels=(2, 3, 4, 5, 6), kernel=5, decoder_kernel=4, q=2),
+    FaultClassifier(l_seg=1024, hidden_channels=3, dense_hidden=5, q=1),
+], ids=["opunet", "fault_classifier"])
+def test_layer_plan_names_the_shapes_a_checkpoint_stores(tmp_path, model):
+    # load_checkpoint checks a descriptor against layer_plan before it builds
+    # anything, so the plan must name exactly what the built model stores
+    path = tmp_path / "m.opvb"
+    save_checkpoint(model, path)
+    stored = json.loads(checkpoint_parts(path.read_bytes())[0])["params"]
+    planned = []
+    for prefix, c in type(model).layer_plan(model.architecture()):
+        if isinstance(c, DenseConfig):
+            planned += [[f"{prefix}.weights", [c.n_in, c.n_out]], [f"{prefix}.biases", [c.n_out]]]
+        else:
+            planned += [[f"{prefix}.weights", [c.q, c.out_channels, c.in_channels, c.kernel]],
+                        [f"{prefix}.biases", [c.out_channels]]]
+    assert planned == stored
+
+
+def test_checkpoint_arch_larger_than_payload_raises_before_allocating(tmp_path):
+    # a CRC-valid file whose arch asks for a 2**30-sample detector: building it
+    # would allocate a dense layer of 2 * 2**22 inputs; the loader must refuse
+    # it on the descriptor alone
+    path = tmp_path / "big.opvb"
+    save_checkpoint(FaultClassifier(l_seg=256, hidden_channels=2, dense_hidden=2), path)
+    blob = path.read_bytes()
+    descriptor = json.loads(checkpoint_parts(blob)[0])
+    descriptor["arch"]["l_seg"] = 2**30
+    path.write_bytes(with_descriptor(blob, json.dumps(descriptor).encode()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PayloadMismatchError, match="dense.0.weights"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

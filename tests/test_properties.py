@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from scipy.io import wavfile
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from opvib.dataio import DataError, load_manifest, load_recording, write_wav
 from opvib.models import CheckpointError, FaultClassifier, OpUNet, load_checkpoint, save_checkpoint
 from opvib.selfonn import OperationalLayer, OperationalLayerConfig
-from opvib.tensor import ShapeError, Tensor
-from util import checkpoint_parts, with_descriptor
+from opvib.signal import Signal
+from opvib.tensor import ShapeError, Tensor, conv1d
+from util import checkpoint_parts, conv1d_input_grad_loop, with_descriptor
 
 
 @settings(max_examples=60, deadline=None)
@@ -28,7 +31,7 @@ def test_output_length_matches_forward(in_ch, out_ch, kernel, q, stride, padding
                                  padding=padding, transposed=transposed)
     layer = OperationalLayer(cfg, np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).uniform(-1, 1, (in_ch, length)).astype(np.float32))
-    expected = layer.output_length(length)
+    expected = layer.config.output_length(length)
     if expected < 1:
         with pytest.raises(ShapeError):
             layer(x)
@@ -36,11 +39,39 @@ def test_output_length_matches_forward(in_ch, out_ch, kernel, q, stride, padding
         assert layer(x).data.shape == (out_ch, expected)
 
 
-# numbers stay within -3..64: the loader builds the architecture a CRC-valid
-# descriptor names before it compares it with the payload, so a large value
-# would make it allocate that much memory rather than raise
+@settings(max_examples=300, deadline=None)
+@given(
+    in_ch=st.integers(1, 4), out_ch=st.integers(1, 4), length=st.integers(1, 40),
+    kernel=st.integers(1, 12), stride=st.integers(1, 9), padding=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(in_ch=1, out_ch=1, length=9, kernel=1, stride=2, padding=0, seed=0)
+@example(in_ch=1, out_ch=1, length=10, kernel=3, stride=4, padding=0, seed=0)
+def test_conv1d_input_grad_matches_per_tap_scatter(in_ch, out_ch, length, kernel, stride,
+                                                   padding, seed):
+    # K < stride, K = 1 and tails that no window reaches are all in range
+    assume(kernel <= length + 2 * padding)
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((in_ch, length)), requires_grad=True)
+    w = rng.standard_normal((out_ch, in_ch, kernel))
+    out = conv1d(x, w, None, stride, padding)
+    g = rng.standard_normal(out.shape)
+    out.backward(g)
+    ref = conv1d_input_grad_loop(g, w, stride, padding, length)
+    assert x.grad.shape == ref.shape
+    np.testing.assert_allclose(x.grad, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    # padded position i is covered when some window j*stride <= i < j*stride + K holds it
+    covered = np.zeros(length + 2 * padding, dtype=bool)
+    for j in range(out.shape[1]):
+        covered[j * stride : j * stride + kernel] = True
+    assert not x.grad[:, ~covered[padding : padding + length]].any()
+
+
+# huge integers are in: the loader checks an architecture's shapes against
+# the payload before it builds anything, so they must raise, not allocate
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 64) | st.text(max_size=4)
+    st.none() | st.booleans() | st.integers(-3, 64) | st.sampled_from([2**30, 2**62])
+    | st.text(max_size=4)
     | st.floats(-3, 64) | st.sampled_from([float("nan"), float("inf"), float("-inf")]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=8,
@@ -60,12 +91,13 @@ def checkpoints(tmp_path_factory):
     return blobs, root / "mutated.opvb"
 
 
-def _load_only_checkpoint_errors(path, blob):
-    """Load ``blob``: it may load or raise CheckpointError, and nothing else."""
+def _load_raises_only(error, load, path, blob):
+    """Write ``blob`` to ``path`` and ``load`` it: it may load or raise
+    ``error``, and nothing else."""
     path.write_bytes(blob)
     try:
-        load_checkpoint(path)
-    except CheckpointError:
+        load(path)
+    except error:
         pass
 
 
@@ -74,7 +106,8 @@ def _load_only_checkpoint_errors(path, blob):
 def test_truncated_checkpoint_raises_only_checkpoint_errors(checkpoints, kind, data):
     blobs, path = checkpoints
     blob = blobs[kind]
-    _load_only_checkpoint_errors(path, blob[:data.draw(st.integers(0, len(blob) - 1))])
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    _load_raises_only(CheckpointError, load_checkpoint, path, blob[:cut])
 
 
 @settings(max_examples=150, deadline=None)
@@ -86,7 +119,7 @@ def test_bit_flipped_checkpoint_raises_only_checkpoint_errors(checkpoints, kind,
     end = data.draw(st.sampled_from([len(blob), 12 + len(checkpoint_parts(blob)[0])]))
     for index in data.draw(st.lists(st.integers(0, end - 1), min_size=1, max_size=4)):
         blob[index] ^= 1 << data.draw(st.integers(0, 7))
-    _load_only_checkpoint_errors(path, bytes(blob))
+    _load_raises_only(CheckpointError, load_checkpoint, path, bytes(blob))
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,4 +142,67 @@ def test_mutated_descriptor_raises_only_checkpoint_errors(checkpoints, kind, dat
             target.pop(key, None)
         else:
             target[key] = data.draw(_JSON)
-    _load_only_checkpoint_errors(path, with_descriptor(blob, json.dumps(descriptor).encode()))
+    _load_raises_only(CheckpointError, load_checkpoint, path,
+                      with_descriptor(blob, json.dumps(descriptor).encode()))
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    """A directory with one valid float32 WAV and one PCM16 WAV to mutate and to reference."""
+    root = tmp_path_factory.mktemp("data")
+    samples = np.random.default_rng(2).uniform(-1, 1, 64).astype(np.float32)
+    write_wav(root / "f32.wav", Signal(samples, 4096.0))
+    wavfile.write(str(root / "pcm16.wav"), 4096, (samples * 3e4).astype(np.int16))
+    return root
+
+
+_LINE = st.text(st.characters(blacklist_categories=["Cs"]), max_size=12) | st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "1e300", "0", "-0", "4096", " 1.5 ", "0x10", "1_0"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_garbage_csv_raises_only_data_errors(data_dir, data):
+    if data.draw(st.booleans()):
+        blob = data.draw(st.binary(max_size=64))
+    else:
+        rate = data.draw(_LINE)
+        lines = data.draw(st.lists(_LINE, max_size=5))
+        sep = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        blob = sep.join([f"sample_rate_hz={rate}"] + lines).encode("utf-8")
+    _load_raises_only(DataError, load_recording, data_dir / "garbage.csv", blob)
+
+
+# scipy warns, and loads what is there, when a data chunk is cut short
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+@settings(max_examples=250, deadline=None)
+@given(source=st.sampled_from(["f32.wav", "pcm16.wav"]), data=st.data())
+def test_garbage_wav_raises_only_data_errors(data_dir, source, data):
+    blob = bytearray((data_dir / source).read_bytes())
+    how = data.draw(st.sampled_from(["truncate", "flip", "random"]))
+    if how == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif how == "flip":
+        # the 44-byte header holds the fields the parser acts on
+        for index in data.draw(st.lists(st.integers(0, 43), min_size=1, max_size=4)):
+            blob[index] ^= 1 << data.draw(st.integers(0, 7))
+    else:
+        blob = data.draw(st.sampled_from([b"", b"RIFF", b"RIFF\0\0\0\0WAVEfmt "])) \
+            + data.draw(st.binary(max_size=48))
+    _load_raises_only(DataError, load_recording, data_dir / "garbage.wav", bytes(blob))
+
+
+_FIELD = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\t\n\r"),
+                 max_size=8) | st.sampled_from(["f32.wav", "pcm16.wav", "healthy", "faulty",
+                                                "nan", "1e999", "", ".", "x" * 300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_garbage_manifest_raises_only_data_errors(data_dir, data):
+    if data.draw(st.booleans()):
+        blob = data.draw(st.binary(max_size=64))
+    else:
+        rows = data.draw(st.lists(st.lists(_FIELD, min_size=6, max_size=9), min_size=1, max_size=3))
+        blob = "\n".join("\t".join(row) for row in rows).encode("utf-8")
+    _load_raises_only(DataError, load_manifest, data_dir / "manifest.tsv", blob)

@@ -77,13 +77,13 @@ def test_transposed_zero_weights_is_bias_only():
 def test_strided_layer_shape_formulas():
     cfg = OperationalLayerConfig(1, 4, kernel=7, q=2, stride=2, padding=3)
     layer = OperationalLayer(cfg, np.random.default_rng(0))
-    assert layer.output_length(16) == 8
+    assert layer.config.output_length(16) == 8
     out = layer(Tensor(np.random.default_rng(1).uniform(-1, 1, (1, 16)).astype(np.float32)))
     assert out.data.shape == (4, 8)
 
     tcfg = OperationalLayerConfig(4, 1, kernel=4, q=2, stride=2, padding=1, transposed=True)
     tlayer = OperationalLayer(tcfg, np.random.default_rng(0))
-    assert tlayer.output_length(8) == 16
+    assert tlayer.config.output_length(8) == 16
     assert tlayer(out).data.shape == (1, 16)
 
 

@@ -13,7 +13,7 @@ from opvib.tensor import (
     power_stack,
     transposed_conv1d,
 )
-from util import fd_gradcheck
+from util import fd_gradcheck, tap_gather_loop
 
 
 def test_conv1d_identity_kernel_selects_first_tap():
@@ -193,6 +193,30 @@ def test_random_graph_gradcheck():
         return (h * h).mean()
 
     assert fd_gradcheck(loss, [x, w1, w2], rng, n_points=30) < 1e-4
+
+
+@pytest.mark.parametrize("c_in,c_out,length,k,stride,padding", [
+    (128, 64, 128, 4, 2, 1),   # the U-Net decoder's first stage
+    (32, 1, 2048, 4, 2, 1),    # and its last
+    (3, 2, 7, 5, 3, 0),
+    (2, 3, 5, 1, 4, 0),        # K < stride: gaps between taps
+    (1, 2, 1, 6, 2, 2),
+])
+def test_transposed_conv_grads_equal_per_tap_gather(c_in, c_out, length, k, stride, padding):
+    # the backward gathers gfull[:, r::stride] rows; taking them tap by tap
+    # must give bit-identical weight and input gradients
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((c_in, length)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((c_in, c_out, k)).astype(np.float32), requires_grad=True)
+    out = transposed_conv1d(x, w, None, stride, padding)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    out.backward(g)
+    l_full = (length - 1) * stride + k
+    gfull = np.zeros((c_out, l_full), dtype=np.float32)
+    gfull[:, padding : l_full - padding] = g
+    rows = tap_gather_loop(gfull, k, stride, length)
+    assert np.array_equal(w.grad, (x.data @ rows.T).reshape(c_in, c_out, k))
+    assert np.array_equal(x.grad, w.data.reshape(c_in, c_out * k) @ rows)
 
 
 def test_forward_is_bit_reproducible():

@@ -105,3 +105,27 @@ def with_descriptor(blob, desc):
     _, payload = checkpoint_parts(blob)
     body = blob[:8] + len(desc).to_bytes(4, "little") + desc + payload
     return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+def conv1d_input_grad_loop(g, w, stride, padding, length):
+    """Input gradient of a strided ``conv1d`` by the per-tap col2im scatter:
+    ``w.T @ g`` split into one strided ``+=`` per tap ``r`` of the padded
+    input.  ``w`` is ``(C_out, C_in, K)``, ``g`` is ``(C_out, L_out)``."""
+    c_out, c_in, k = w.shape
+    l_out = g.shape[1]
+    gcols = (w.reshape(c_out, c_in * k).T @ g).reshape(c_in, k, l_out)
+    gxp = np.zeros((c_in, length + 2 * padding), dtype=g.dtype)
+    for r in range(k):
+        gxp[:, r : r + stride * l_out : stride] += gcols[:, r, :]
+    return gxp[:, padding : padding + length]
+
+
+def tap_gather_loop(gfull, k, stride, length):
+    """``(C*K, length)`` rows ``gfull[c, r::stride]`` gathered one tap at a
+    time, channel-major / tap-minor."""
+    c = gfull.shape[0]
+    rows = np.empty((c, k, length), dtype=gfull.dtype)
+    span = stride * (length - 1) + 1
+    for r in range(k):
+        rows[:, r, :] = gfull[:, r : r + span : stride]
+    return rows.reshape(c * k, length)
