@@ -12,8 +12,9 @@ echoed before the command runs.  Exit codes: 0 success, 1 runtime failure,
 
 ``--reproducible`` pins the BLAS to one thread, through threadpoolctl when
 it is installed and otherwise through the thread-count environment
-variables; the echoed configuration names the method (``pinning=``).  When
-neither can take effect the command exits 2 rather than run unpinned.
+variables, which count only when they read 1 before numpy loaded; the
+echoed configuration names the method (``pinning=``).  When neither can
+take effect the command exits 2 rather than run unpinned.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _PIN_VARS
 from .dataio import DataError, SyntheticSpec, generate_synthetic, load_recording, load_segment_pairs, write_wav
 from .evaluation import benchmark_inference, compute_metrics, real_time_factor
 from .models import (
@@ -40,7 +42,14 @@ from .models import (
     save_checkpoint,
 )
 from .signal import Signal
-from .training import TrainConfig, classify_pairs, split_dataset, train_fault_detector, train_transformer
+from .training import (
+    TrainConfig,
+    blas_single_threaded,
+    classify_pairs,
+    split_dataset,
+    train_fault_detector,
+    train_transformer,
+)
 
 _COMMON_DEFAULTS = {"seed": 0}
 
@@ -412,8 +421,6 @@ def _cmd_benchmark(opts, parser):
     return 0
 
 
-# OpenBLAS, OpenMP and MKL read these once, when numpy loads its BLAS.
-_PIN_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Set on the re-executed process so that entry() re-executes at most once.
 _REEXEC_GUARD = "OPVIB_PIN_REEXEC"
 
@@ -422,7 +429,7 @@ def _pinning_method():
     """How BLAS can be held to one thread in this process, or None."""
     if importlib.util.find_spec("threadpoolctl") is not None:
         return "threadpoolctl"
-    if all(os.environ.get(name) == "1" for name in _PIN_VARS):
+    if blas_single_threaded():
         return "env"
     return None
 
@@ -462,8 +469,9 @@ def main(argv=None):
     pinning = _pinning_method() if args.reproducible else None
     if args.reproducible and pinning is None:
         parser.error("--reproducible cannot pin BLAS to one thread: threadpoolctl is not "
-                     f"installed and {', '.join(_PIN_VARS)} are not all 1; run through the "
-                     "opvib command or `python -m opvib`, or set them before starting")
+                     f"installed and {', '.join(_PIN_VARS)} did not all read 1 when numpy "
+                     "loaded; run through the opvib command or `python -m opvib`, or set "
+                     "them before starting")
     _echo(opts, args.reproducible, pinning)
     try:
         with _thread_limits(pinning):

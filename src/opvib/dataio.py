@@ -88,7 +88,13 @@ _WAV_PARSE_ERRORS = (ValueError, struct.error, TypeError, ZeroDivisionError,
 
 def _read_wav(path):
     try:
-        rate, data = wavfile.read(str(path))
+        with warnings.catch_warnings():
+            # scipy only warns, and returns what it read, when the data
+            # chunk is cut short
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            rate, data = wavfile.read(str(path))
+    except wavfile.WavFileWarning as exc:
+        raise AudioFormatError(f"{path}: truncated WAV ({exc})") from exc
     except _WAV_PARSE_ERRORS as exc:
         raise AudioFormatError(f"{path}: unreadable WAV ({exc!r})") from exc
     if data.ndim != 1:

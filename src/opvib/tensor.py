@@ -412,6 +412,8 @@ def conv1d(x, weights, bias=None, stride=1, padding=0):
     out_data = w.reshape(c_out, c_in * k) @ cols
     if bias is not None:
         out_data = out_data + bias.data[:, None]
+    if not weights.requires_grad:
+        cols = None                            # only the weight gradient reads them
 
     parents = (x, weights) if bias is None else (x, weights, bias)
 
@@ -534,10 +536,16 @@ def frames1d(x, frame_len, hop):
     orig_shape = x.data.shape
 
     def backward(g):
-        gx = np.zeros(n, dtype=g.dtype)
-        for t in range(num):
-            gx[t * hop : t * hop + frame_len] += g[t]
-        x._accumulate(gx.reshape(orig_shape))
+        # overlap-add by blocks of ``hop`` taps: block b of frame t starts at
+        # (t + b)*hop, so one slice adds block b of every frame at once, and
+        # descending b adds each position's frames in ascending order, as a
+        # loop over frames would; the tail pads the last reshape only
+        blocks = -(-frame_len // hop)
+        gx = np.zeros(max(n, (num + blocks - 1) * hop), dtype=g.dtype)
+        for b in reversed(range(blocks)):
+            width = min(hop, frame_len - b * hop)
+            gx[b * hop : (b + num) * hop].reshape(num, hop)[:, :width] += g[:, b * hop : b * hop + width]
+        x._accumulate(gx[:n].reshape(orig_shape))
 
     return Tensor._result(out_data, (x,), backward)
 

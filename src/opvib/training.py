@@ -6,14 +6,28 @@ the detector cascaded behind it and frozen: each batch minimizes
 ``class_mse + lam * (time_l1 + stft_l1)`` where the class term compares the
 frozen detector's scores for the real and the synthesized vibration.  The
 checkpoint with the best validation total is returned.
+
+Both loops are sample-parallel.  Each sample gets its own backward pass
+with the seed ``1/n``, its gradient lands in its own slot of one shared
+arena, and the slots are summed in sample order before one flat Adam
+update; validation values are summed in sample order too.  The calling
+process is worker 0 and ``TrainConfig.workers - 1`` forked children take
+the rest of each batch, so the result is the same for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
+import multiprocessing
+import os
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _BLAS_ENV_AT_LOAD
 from .evaluation import compute_metrics
 from .losses import LossBreakdown, loss_class, loss_stft, loss_time, loss_total
 from .models import (
@@ -25,9 +39,11 @@ from .models import (
     save_checkpoint,
 )
 from .optim import Adam
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 
 __all__ = [
+    "WorkerError",
+    "blas_single_threaded",
     "TrainConfig",
     "DataSplit",
     "split_dataset",
@@ -36,6 +52,29 @@ __all__ = [
     "classify_pairs",
     "run_experiment",
 ]
+
+
+# the default worker count never exceeds this: two workers is all that has
+# been measured to pay, on a 2-core machine
+_MAX_DEFAULT_WORKERS = 2
+
+
+class WorkerError(RuntimeError):
+    """A forked training worker raised or died; the message carries its error."""
+
+
+def blas_single_threaded():
+    """True when BLAS is verified to run one thread in this process.
+
+    That is so when ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+    ``MKL_NUM_THREADS`` all read 1 before numpy loaded its BLAS; a value set
+    after that has no effect on BLAS and does not count.
+    """
+    return _BLAS_ENV_AT_LOAD is not None and all(v == "1" for v in _BLAS_ENV_AT_LOAD.values())
+
+
+def _can_fork():
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 @dataclass
@@ -54,11 +93,21 @@ class TrainConfig:
     iterations_are_epochs: bool = False
     freeze_detector: bool = True
     class_loss_mode: str = "paired"   # or "target": score vs the label's tanh target
+    # processes sharing each batch and validation pass, the caller included;
+    # None takes min(2, usable CPUs, batch_size) when BLAS is verified
+    # single-threaded and 1 otherwise.  The result does not depend on it.
+    workers: int | None = None
 
     def __post_init__(self):
         for name in ("batch_size", "max_iterations", "classifier_epochs", "l_seg", "val_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.workers is not None:
+            if self.workers < 1:
+                raise ValueError("workers must be positive")
+            if self.workers > 1 and not _can_fork():
+                raise ConfigError(f"workers={self.workers} needs the 'fork' start method, "
+                                  "which this platform lacks")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.class_loss_mode not in ("paired", "target"):
@@ -113,12 +162,12 @@ def _batches(n, batch_size, rng):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _batch_mean(terms):
-    """Mean of per-sample loss tensors, summed in sample order."""
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total / len(terms)
+def _batch_mean(losses):
+    """Mean of per-sample loss arrays in their own dtype, summed in sample order."""
+    total = losses[0]
+    for loss in losses[1:]:
+        total = total + loss
+    return float(total * np.asarray(1.0 / len(losses), dtype=total.dtype))
 
 
 def _require_finite(where, values):
@@ -126,6 +175,206 @@ def _require_finite(where, values):
     for name, value in values.items():
         if not np.isfinite(value):
             raise ValueError(f"{where}: {name} is not finite ({value}); training stopped")
+
+
+def _worker_count(cfg):
+    if cfg.workers is not None:
+        return cfg.workers
+    if not (blas_single_threaded() and _can_fork()):
+        # with multithreaded BLAS, two processes only fight over the cores
+        return 1
+    return min(_MAX_DEFAULT_WORKERS, len(os.sched_getaffinity(0)), cfg.batch_size)
+
+
+class _Arena:
+    """One anonymous shared mapping: the trained parameters as one flat row,
+    then one gradient row per batch position.
+
+    The parameters are rebound as views into the first row, so forked
+    workers read every update, and Adam updates them all at once through
+    ``flat``.  ``release`` rebinds them to private copies.
+    """
+
+    def __init__(self, params, slots):
+        dtypes = {t.dtype for t in params}
+        if len(dtypes) != 1:
+            raise ConfigError(f"trained parameters mix dtypes {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop()
+        total = sum(t.data.size for t in params)
+        # the arrays keep the mapping alive; it is unmapped with the last of them
+        shared = mmap.mmap(-1, (1 + slots) * total * dtype.itemsize)
+        rows = np.frombuffer(shared, dtype).reshape(1 + slots, total)
+        self.grads = rows[1:]
+        self.flat = Tensor(rows[0])
+        self.params = params
+        self.spans = []
+        start = 0
+        for t in params:
+            view = rows[0, start : start + t.data.size].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            self.spans.append(slice(start, start + view.size))
+            start += view.size
+
+    def store_grads(self, pos):
+        """Move each parameter's gradient into row ``pos`` (0 where none)."""
+        row = self.grads[pos]
+        for t, span in zip(self.params, self.spans):
+            row[span] = 0 if t.grad is None else t.grad.reshape(-1)
+            t.grad = None
+
+    def sum_grads(self, n):
+        """``((g0 + g1) + g2) + ...`` over the first ``n`` rows, as ``flat.grad``."""
+        total = self.grads[0]
+        for row in self.grads[1:n]:
+            np.add(total, row, out=total)
+        self.flat.grad = total
+
+    def release(self):
+        for t in self.params:
+            t.data = t.data.copy()
+
+
+def _shares(items, count):
+    """``items`` cut into ``count`` contiguous runs, longer runs first."""
+    q, r = divmod(len(items), count)
+    bounds = [k * q + min(k, r) for k in range(count + 1)]
+    return [items[bounds[k]:bounds[k + 1]] for k in range(count)]
+
+
+def _died(k, proc):
+    proc.join(1.0)
+    return WorkerError(f"training worker {k} died (exit code {proc.exitcode})")
+
+
+class _Workers:
+    """Run named per-item tasks over a list of items, split across processes.
+
+    Worker 0 is the calling process; workers 1.. are children forked at
+    construction, which inherit the tasks, the data and the arena, and take
+    only small messages over a pipe: a task name with a run of items, and
+    back the results or the error.  ``map`` returns results in item order.
+    Forking, not spawning, is what lets the children share the arena and
+    skip pickling the models and data.  The only other threads are BLAS's,
+    and OpenBLAS shuts its pool down before a fork (``pthread_atfork``).
+    """
+
+    def __init__(self, count, tasks):
+        self.tasks = tasks
+        self.children = []
+        context = multiprocessing.get_context("fork") if count > 1 else None
+        try:
+            for _ in range(count - 1):
+                conn, child_conn = context.Pipe()
+                proc = context.Process(target=self._serve, args=(child_conn,), daemon=True)
+                proc.start()
+                # the parent keeps no copy of the child's end, so a dead
+                # child reads as EOF rather than a hang
+                child_conn.close()
+                self.children.append((proc, conn))
+        except BaseException:
+            self.close()
+            raise
+
+    def _serve(self, conn):
+        # Ctrl-C reaches the whole process group; the parent stops its children
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:                    # the parent is gone
+                return
+            if job is None:
+                return
+            name, items = job
+            try:
+                reply = ("ok", [self.tasks[name](item) for item in items])
+            except Exception:
+                conn.send(("error", traceback.format_exc()))
+                return
+            conn.send(reply)
+
+    def map(self, name, items):
+        shares = _shares(list(items), 1 + len(self.children))
+        busy = [(k, proc, conn) for k, ((proc, conn), share)
+                in enumerate(zip(self.children, shares[1:]), start=1) if share]
+        for k, proc, conn in busy:
+            try:
+                conn.send((name, shares[k]))
+            except OSError:
+                raise _died(k, proc) from None
+        results = [self.tasks[name](item) for item in shares[0]]
+        for k, proc, conn in busy:
+            try:
+                status, payload = conn.recv()
+            except (EOFError, OSError):
+                raise _died(k, proc) from None
+            if status != "ok":
+                raise WorkerError(f"training worker {k} failed:\n{payload}")
+            results += payload
+        return results
+
+    def close(self):
+        """Stop every child; idle ones exit at once, the rest are killed."""
+        for _, conn in self.children:
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+            conn.close()
+        for proc, _ in self.children:
+            proc.join(5.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        self.children = []
+
+
+class _SampleParallel:
+    """Data-parallel steps with a result that does not depend on the worker count.
+
+    ``sample_loss(i)`` returns training sample ``i``'s loss tensor and the
+    values to report for it; ``evaluate(i)`` the values of validation item
+    ``i``.  Both run on whichever worker holds the item.
+    """
+
+    def __init__(self, params, cfg, sample_loss, evaluate):
+        self.sample_loss = sample_loss
+        self.arena = _Arena(params, cfg.batch_size)
+        self.opt = Adam([self.arena.flat], lr=cfg.learning_rate)
+        try:
+            self.workers = _Workers(_worker_count(cfg),
+                                    {"train": self._backward, "eval": evaluate})
+        except BaseException:
+            self.arena.release()
+            raise
+
+    def _backward(self, job):
+        pos, i, n = job
+        loss, values = self.sample_loss(i)
+        loss.backward(np.asarray(1.0 / n, dtype=loss.dtype))
+        self.arena.store_grads(pos)
+        return values
+
+    def step(self, batch):
+        """One Adam update over ``batch``; returns each sample's values in order."""
+        n = len(batch)
+        values = self.workers.map("train", [(pos, int(i), n) for pos, i in enumerate(batch)])
+        self.arena.sum_grads(n)
+        self.opt.step()
+        return values
+
+    def evaluate(self, count):
+        return self.workers.map("eval", range(count))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        try:
+            self.workers.close()
+        finally:
+            self.arena.release()
 
 
 def train_fault_detector(train, val, cfg: TrainConfig, log=None):
@@ -141,35 +390,45 @@ def train_fault_detector(train, val, cfg: TrainConfig, log=None):
         )
     model = FaultClassifier(l_seg=cfg.l_seg, seed=cfg.seed)
     params = [t for _, t in model.parameters()]
-    opt = Adam(params, lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
+    val_pairs = val if val else train
     history = []
     best = None
 
-    for epoch in range(cfg.classifier_epochs):
-        train_mse = 0.0
-        for batch in _batches(len(train), cfg.batch_size, rng):
-            opt.zero_grad()
-            terms = [
-                loss_class(CLASS_TARGETS[train[i].label], model(train[i].vibration.reshape(1, -1)))
-                for i in batch
-            ]
-            batch_loss = _batch_mean(terms)
-            batch_loss.backward()
-            opt.step()
-            train_mse += batch_loss.item() * len(terms)
-        train_mse /= len(train)
-        _require_finite(f"epoch {epoch}", {"train_mse": train_mse})
+    def sample_loss(i):
+        pair = train[i]
+        loss = loss_class(CLASS_TARGETS[pair.label], model(pair.vibration.reshape(1, -1)))
+        return loss, loss.data
 
-        val_mse, val_acc = _detector_validation(model, val if val else train)
-        _require_finite(f"epoch {epoch}", {"val_mse": val_mse})
-        history.append({"epoch": epoch, "train_mse": train_mse,
-                        "val_mse": val_mse, "val_accuracy": val_acc})
-        if best is None or val_mse < best[0]:
-            best = (val_mse, epoch, [t.data.copy() for t in params])
-        if log:
-            log(f"epoch={epoch} train_mse={train_mse:.6f} val_mse={val_mse:.6f} "
-                f"val_acc={val_acc:.2f}")
+    def evaluate(i):
+        pair = val_pairs[i]
+        with no_grad():
+            scores = model(pair.vibration.reshape(1, -1))
+            return loss_class(CLASS_TARGETS[pair.label], scores).item(), predict_label(scores) == pair.label
+
+    with _SampleParallel(params, cfg, sample_loss, evaluate) as engine:
+        for epoch in range(cfg.classifier_epochs):
+            train_mse = 0.0
+            for batch in _batches(len(train), cfg.batch_size, rng):
+                losses = engine.step(batch)
+                train_mse += _batch_mean(losses) * len(losses)
+            train_mse /= len(train)
+            _require_finite(f"epoch {epoch}", {"train_mse": train_mse})
+
+            mse = 0.0
+            correct = 0
+            for value, hit in engine.evaluate(len(val_pairs)):
+                mse += value
+                correct += hit
+            val_mse, val_acc = mse / len(val_pairs), 100.0 * correct / len(val_pairs)
+            _require_finite(f"epoch {epoch}", {"val_mse": val_mse})
+            history.append({"epoch": epoch, "train_mse": train_mse,
+                            "val_mse": val_mse, "val_accuracy": val_acc})
+            if best is None or val_mse < best[0]:
+                best = (val_mse, epoch, [t.data.copy() for t in params])
+            if log:
+                log(f"epoch={epoch} train_mse={train_mse:.6f} val_mse={val_mse:.6f} "
+                    f"val_acc={val_acc:.2f}")
 
     for t, data in zip(params, best[2]):
         t.data = data
@@ -177,17 +436,6 @@ def train_fault_detector(train, val, cfg: TrainConfig, log=None):
         save_checkpoint(model, f"{cfg.checkpoint_dir}/detector_best.opvb",
                         meta={"seed": cfg.seed, "epoch": best[1], "val_mse": best[0]})
     return model, history
-
-
-def _detector_validation(model, pairs):
-    mse = 0.0
-    correct = 0
-    with no_grad():
-        for p in pairs:
-            scores = model(p.vibration.reshape(1, -1))
-            mse += loss_class(CLASS_TARGETS[p.label], scores).item()
-            correct += predict_label(scores) == p.label
-    return mse / len(pairs), 100.0 * correct / len(pairs)
 
 
 def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
@@ -210,46 +458,45 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
 
     params = [t for _, t in model.parameters()]
     det_params = [t for _, t in detector.parameters()]
-    saved_flags = [t.requires_grad for t in det_params]
-    if cfg.freeze_detector:
-        for t in det_params:
-            t.requires_grad = False
-        opt = Adam(params, lr=cfg.learning_rate)
-    else:
-        opt = Adam(params + det_params, lr=cfg.learning_rate)
+    trained = params if cfg.freeze_detector else params + det_params
 
     rng = np.random.default_rng(cfg.seed)
     batches_per_epoch = max(1, (len(train) + cfg.batch_size - 1) // cfg.batch_size)
     total_iters = (cfg.max_iterations * batches_per_epoch
                    if cfg.iterations_are_epochs else cfg.max_iterations)
+    val_pairs = val if val else train
+
+    def sample_loss(i):
+        sample = _sample_losses(model, detector, train[i], cfg)
+        return loss_total(*sample, cfg.lam), [t.item() for t in sample]
+
+    def evaluate(i):
+        with no_grad():
+            return loss_total(*(t.item() for t in _sample_losses(model, detector, val_pairs[i], cfg)),
+                              cfg.lam)
 
     history = []
     best = None
     val_total = float("nan")
     it = 0
-    try:
+    with _frozen(det_params, cfg.freeze_detector), \
+            _SampleParallel(trained, cfg, sample_loss, evaluate) as engine:
         while it < total_iters:
             for batch in _batches(len(train), cfg.batch_size, rng):
                 if it >= total_iters:
                     break
-                opt.zero_grad()
-                terms = []
-                items = []
-                for i in batch:
-                    sample = _sample_losses(model, detector, train[i], cfg)
-                    terms.append(loss_total(*sample, cfg.lam))
-                    items.append([t.item() for t in sample])
-                batch_loss = _batch_mean(terms)
-                batch_loss.backward()
-                opt.step()
+                items = engine.step(batch)
                 it += 1
 
-                n = len(terms)
+                n = len(items)
                 bd = LossBreakdown.from_components(*(sum(col) / n for col in zip(*items)), cfg.lam)
                 _require_finite(f"iteration {it}", {"time": bd.time_l1, "stft": bd.stft_l1,
                                                     "class": bd.class_mse})
                 if it == 1 or it % cfg.val_interval == 0 or it == total_iters:
-                    val_total = _transformer_validation(model, detector, val if val else train, cfg)
+                    val_total = 0.0
+                    for value in engine.evaluate(len(val_pairs)):
+                        val_total += value
+                    val_total /= len(val_pairs)
                     _require_finite(f"iteration {it}", {"val_total": val_total})
                     if best is None or val_total < best[0]:
                         best = (val_total, it, [t.data.copy() for t in params])
@@ -263,14 +510,25 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
                 if log:
                     log(f"iter={it} time={bd.time_l1:.6f} stft={bd.stft_l1:.6f} "
                         f"class={bd.class_mse:.6f} total={bd.total:.6f} val_total={val_total:.6f}")
-    finally:
-        for t, flag in zip(det_params, saved_flags):
-            t.requires_grad = flag
 
     if best is not None:
         for t, data in zip(params, best[2]):
             t.data = data
     return model, history
+
+
+@contextlib.contextmanager
+def _frozen(tensors, freeze):
+    """Hold ``requires_grad`` off on ``tensors`` when ``freeze``; restore the flags after."""
+    saved = [t.requires_grad for t in tensors]
+    if freeze:
+        for t in tensors:
+            t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, saved):
+            t.requires_grad = flag
 
 
 def _sample_losses(model, detector, pair, cfg):
@@ -291,15 +549,6 @@ def _sample_losses(model, detector, pair, cfg):
     else:
         c_loss = loss_class(CLASS_TARGETS[pair.label], score_s)
     return t_loss, s_loss, c_loss
-
-
-def _transformer_validation(model, detector, pairs, cfg):
-    total = 0.0
-    with no_grad():
-        for pair in pairs:
-            t_loss, s_loss, c_loss = (t.item() for t in _sample_losses(model, detector, pair, cfg))
-            total += loss_total(t_loss, s_loss, c_loss, cfg.lam)
-    return total / len(pairs)
 
 
 def classify_pairs(detector, pairs, transformer=None):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -215,3 +216,35 @@ def test_reproducible_without_a_pinning_method_exits_2(tmp_path, monkeypatch, ca
                       "--reproducible"]) == 2
     assert "cannot pin BLAS" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(importlib.util.find_spec("threadpoolctl") is not None,
+                    reason="threadpoolctl pins BLAS whatever the environment says")
+def test_reproducible_refuses_thread_variables_set_after_numpy_loaded(tmp_path):
+    # OpenBLAS has read its variables by the time they are set here, so
+    # they pin nothing; --reproducible must refuse rather than claim env pinning
+    env = opvib_subprocess_env()
+    for name in cli._PIN_VARS:
+        env.pop(name, None)
+    argv = GEN + ["--healthy", "1", "--faulty", "1", "--out", "d", "--reproducible"]
+
+    def run_script(first_import):
+        script = (f"import os, sys\n{first_import}\n"
+                  f"os.environ.update(dict.fromkeys({cli._PIN_VARS!r}, '1'))\n"
+                  "from opvib import cli, training\n"
+                  "print(training.blas_single_threaded())\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        return subprocess.run([sys.executable, "-c", script] + argv, cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    late = run_script("import numpy")
+    assert late.returncode == 2, late.stderr + late.stdout
+    assert late.stdout.splitlines()[0] == "False"
+    assert "did not all read 1 when numpy loaded" in late.stderr
+    assert not (tmp_path / "d").exists()
+
+    # set before opvib, and so before numpy, loads: BLAS is pinned
+    early = run_script("")
+    assert early.returncode == 0, early.stderr + early.stdout
+    assert early.stdout.splitlines()[0] == "True"
+    assert early.stdout.splitlines()[1].endswith("reproducible=True pinning=env")

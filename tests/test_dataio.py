@@ -86,6 +86,19 @@ def test_zero_rate_wav_is_audio_format_error(tmp_path):
         load_recording(path)
 
 
+@pytest.mark.parametrize("kept", [0.0, 0.5, 0.99])
+def test_truncated_data_chunk_is_audio_format_error(tmp_path, kept):
+    # scipy only warns and returns the samples it found; a short recording
+    # must not enter a dataset
+    path = tmp_path / "cut.wav"
+    write_wav(path, Signal(np.zeros(4096, dtype=np.float32), 4096.0))
+    blob = path.read_bytes()
+    start = blob.index(b"data") + 8
+    path.write_bytes(blob[:start + int(kept * (len(blob) - start))])
+    with pytest.raises(AudioFormatError, match="truncated"):
+        load_recording(path)
+
+
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_recording(tmp_path / "nope.wav")

@@ -14,8 +14,9 @@ from opvib.dataio import DataError, load_manifest, load_recording, write_wav
 from opvib.models import CheckpointError, FaultClassifier, OpUNet, load_checkpoint, save_checkpoint
 from opvib.selfonn import OperationalLayer, OperationalLayerConfig
 from opvib.signal import Signal
-from opvib.tensor import ShapeError, Tensor, conv1d
-from util import checkpoint_parts, conv1d_input_grad_loop, with_descriptor
+from opvib.dataio import AudioFormatError
+from opvib.tensor import ShapeError, Tensor, conv1d, frames1d
+from util import checkpoint_parts, conv1d_input_grad_loop, frames1d_backward_loop, with_descriptor
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,6 +66,24 @@ def test_conv1d_input_grad_matches_per_tap_scatter(in_ch, out_ch, length, kernel
     for j in range(out.shape[1]):
         covered[j * stride : j * stride + kernel] = True
     assert not x.grad[:, ~covered[padding : padding + length]].any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 80), frame_len=st.integers(1, 40), hop=st.integers(1, 45),
+       seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]))
+@example(n=64, frame_len=16, hop=4, seed=0, dtype=np.float32)     # 4 overlaps, hop divides
+@example(n=61, frame_len=16, hop=5, seed=1, dtype=np.float32)     # 4 overlaps, it does not
+@example(n=30, frame_len=7, hop=2, seed=2, dtype=np.float32)      # 4 overlaps, a short last block
+@example(n=40, frame_len=5, hop=9, seed=3, dtype=np.float32)      # gaps between frames
+def test_frames1d_backward_equals_per_frame_loop(n, frame_len, hop, seed, dtype):
+    assume(frame_len <= n)
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(n).astype(dtype), requires_grad=True)
+    frames = frames1d(x, frame_len, hop)
+    g = rng.standard_normal(frames.shape).astype(dtype)
+    frames.backward(g)
+    assert x.grad.dtype == dtype
+    assert np.array_equal(x.grad, frames1d_backward_loop(g, n, hop))
 
 
 # huge integers are in: the loader checks an architecture's shapes against
@@ -173,7 +192,7 @@ def test_garbage_csv_raises_only_data_errors(data_dir, data):
     _load_raises_only(DataError, load_recording, data_dir / "garbage.csv", blob)
 
 
-# scipy warns, and loads what is there, when a data chunk is cut short
+# scipy warns about some malformed chunks that it skips
 @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
 @settings(max_examples=250, deadline=None)
 @given(source=st.sampled_from(["f32.wav", "pcm16.wav"]), data=st.data())
@@ -181,7 +200,15 @@ def test_garbage_wav_raises_only_data_errors(data_dir, source, data):
     blob = bytearray((data_dir / source).read_bytes())
     how = data.draw(st.sampled_from(["truncate", "flip", "random"]))
     if how == "truncate":
-        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        if cut >= blob.index(b"data") + 8:
+            # cut inside the data chunk: the recording would come back short
+            path = data_dir / "garbage.wav"
+            path.write_bytes(bytes(blob[:cut]))
+            with pytest.raises(AudioFormatError):
+                load_recording(path)
+            return
+        blob = blob[:cut]
     elif how == "flip":
         # the 44-byte header holds the fields the parser acts on
         for index in data.draw(st.lists(st.integers(0, 43), min_size=1, max_size=4)):

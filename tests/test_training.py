@@ -1,19 +1,27 @@
+import contextlib
+import copy
+import multiprocessing
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
 
+from opvib import optim, training
 from opvib.dataio import SyntheticSpec, generate_synthetic, load_segment_pairs
-from opvib.models import ConfigError, parameter_count
+from opvib.models import ConfigError, OpUNet, parameter_count
 from opvib.signal import SegmentPair
 from opvib.training import (
     DataSplit,
     TrainConfig,
+    WorkerError,
     classify_pairs,
     split_dataset,
     train_fault_detector,
     train_transformer,
 )
+from util import joined_graph_first_iteration
 
 # small-rate datasets keep the training tests fast; the stride chain and the
 # U-Net both accept 256-sample segments
@@ -104,27 +112,193 @@ def trained_detector(small_dataset):
     return model, split
 
 
-def test_transformer_stops_on_non_finite_loss(small_dataset, trained_detector):
-    from opvib.models import OpUNet
-
+def _transformer_with_nan_bias(trained_detector, workers=None):
     detector, split = trained_detector
     model = OpUNet(l_seg=int(RATE), seed=3)
     bias = dict(model.parameters())["decoder.4.biases"]
     bias.data[0] = np.nan
-    cfg = TrainConfig(seed=3, max_iterations=4, val_interval=2, l_seg=int(RATE))
+    cfg = TrainConfig(seed=3, max_iterations=4, val_interval=2, l_seg=int(RATE), workers=workers)
     with pytest.raises(ValueError, match=r"^iteration 1: time is not finite"):
         train_transformer(split.train, split.val, cfg, detector, model=model)
 
 
-def test_detector_stops_on_non_finite_loss(small_dataset):
+def _detector_with_nan_sample(small_dataset, workers=None):
     split = split_dataset(small_dataset, 1010.0, train_seconds=10, val_seconds=4)
     train = list(split.train)
     vibration = train[3].vibration.copy()
     vibration[100] = np.nan
     train[3] = SegmentPair(train[3].sound, vibration, train[3].label, speed=train[3].speed)
-    cfg = TrainConfig(seed=5, classifier_epochs=3, l_seg=int(RATE))
+    cfg = TrainConfig(seed=5, classifier_epochs=3, l_seg=int(RATE), workers=workers)
     with pytest.raises(ValueError, match=r"^epoch 0: train_mse is not finite"):
         train_fault_detector(train, split.val, cfg)
+
+
+def test_transformer_stops_on_non_finite_loss(trained_detector):
+    _transformer_with_nan_bias(trained_detector)
+
+
+def test_detector_stops_on_non_finite_loss(small_dataset):
+    _detector_with_nan_sample(small_dataset)
+
+
+def test_non_finite_loss_stops_two_workers_and_leaves_no_child(small_dataset, trained_detector):
+    _transformer_with_nan_bias(trained_detector, workers=2)
+    assert multiprocessing.active_children() == []
+    _detector_with_nan_sample(small_dataset, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+# -- sample-parallel workers -------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test, rather than hang it, if the block outlasts ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _weights(model):
+    return [t.data for _, t in model.parameters()]
+
+
+@pytest.mark.parametrize("mode,freeze", [("paired", True), ("paired", False),
+                                         ("target", True), ("target", False)])
+def test_transformer_result_does_not_depend_on_worker_count(trained_detector, mode, freeze):
+    detector, split = trained_detector
+    runs = []
+    for workers in (1, 2, 3):                  # 3 splits a batch of 8 unevenly
+        det = copy.deepcopy(detector)
+        cfg = TrainConfig(seed=14, max_iterations=3, val_interval=2, l_seg=int(RATE),
+                          class_loss_mode=mode, freeze_detector=freeze, workers=workers)
+        with _deadline(120):
+            model, history = train_transformer(split.train, split.val, cfg, det)
+        runs.append((history, _weights(model) + _weights(det)))
+        assert multiprocessing.active_children() == []
+    for history, weights in runs[1:]:
+        assert history == runs[0][0]
+        assert all(np.array_equal(a, b) for a, b in zip(weights, runs[0][1]))
+
+
+def test_detector_result_does_not_depend_on_worker_count(small_dataset):
+    split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
+    runs = []
+    for workers in (1, 2, 3):
+        cfg = TrainConfig(seed=15, classifier_epochs=3, l_seg=int(RATE), workers=workers)
+        with _deadline(120):
+            model, history = train_fault_detector(split.train, split.val, cfg)
+        runs.append((history, _weights(model)))
+        assert multiprocessing.active_children() == []
+    for history, weights in runs[1:]:
+        assert history == runs[0][0]
+        assert all(np.array_equal(a, b) for a, b in zip(weights, runs[0][1]))
+
+
+@pytest.mark.parametrize("mode,freeze", [("paired", True), ("target", False)])
+def test_first_iteration_equals_joined_graph(trained_detector, mode, freeze):
+    # each parameter takes one gradient per sample, and the joined graph
+    # accumulated them in sample order too, so the update is the same bits
+    detector, split = trained_detector
+    cfg = TrainConfig(seed=16, max_iterations=1, l_seg=int(RATE), class_loss_mode=mode,
+                      freeze_detector=freeze, workers=2)
+    det, ref_det = copy.deepcopy(detector), copy.deepcopy(detector)
+    model, history = train_transformer(split.train, split.val, cfg, det,
+                                       model=OpUNet(l_seg=int(RATE), seed=16))
+    ref_model = OpUNet(l_seg=int(RATE), seed=16)
+    ref = joined_graph_first_iteration(split.train, split.val, cfg, ref_det, ref_model)
+    assert {key: history[0][key] for key in ref} == ref
+    for a, b in zip(_weights(model) + _weights(det), _weights(ref_model) + _weights(ref_det)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("failure", ["raises", "dies"])
+def test_worker_failure_reaches_the_caller(trained_detector, monkeypatch, failure):
+    detector, split = trained_detector
+    caller = os.getpid()
+    real_loss_stft = training.loss_stft
+
+    def loss_stft(*args):
+        if os.getpid() != caller:
+            if failure == "dies":
+                os._exit(7)
+            raise RuntimeError("spectral loss failed in a worker")
+        return real_loss_stft(*args)
+
+    monkeypatch.setattr(training, "loss_stft", loss_stft)
+    cfg = TrainConfig(seed=17, max_iterations=2, l_seg=int(RATE), workers=2)
+    expected = "spectral loss failed in a worker" if failure == "raises" else r"exit code 7"
+    with _deadline(60), pytest.raises(WorkerError, match=expected):
+        train_transformer(split.train, split.val, cfg, detector)
+    assert multiprocessing.active_children() == []
+    assert all(t.requires_grad for _, t in detector.parameters())
+
+
+def test_adam_steps_once_per_update_in_the_caller(small_dataset, monkeypatch):
+    split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
+    steps = []
+    real_step = optim.Adam.step
+
+    def step(opt):
+        steps.append(os.getpid())
+        real_step(opt)
+
+    monkeypatch.setattr(optim.Adam, "step", step)
+    cfg = TrainConfig(seed=18, classifier_epochs=2, l_seg=int(RATE), workers=2)
+    train_fault_detector(split.train, split.val, cfg)
+    assert steps == [os.getpid()] * (2 * 3)    # 20 pairs -> batches of 8, 8, 4
+
+
+class _Halt(Exception):
+    pass
+
+
+def test_an_exception_from_adam_step_leaves_no_worker(trained_detector, monkeypatch):
+    detector, split = trained_detector
+    model = OpUNet(l_seg=int(RATE), seed=19)
+    before = [t.data.copy() for _, t in model.parameters()]
+
+    def step(opt):
+        raise _Halt
+
+    monkeypatch.setattr(optim.Adam, "step", step)
+    cfg = TrainConfig(seed=19, max_iterations=2, l_seg=int(RATE), workers=2)
+    with pytest.raises(_Halt):
+        train_transformer(split.train, split.val, cfg, detector, model=model)
+    assert multiprocessing.active_children() == []
+    # the parameters are the model's own arrays again, and were not stepped
+    for (_, t), orig in zip(model.parameters(), before):
+        assert t.data.base is None and np.array_equal(t.data, orig)
+
+
+def test_default_worker_count_needs_verified_blas_pinning(monkeypatch):
+    pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", pinned)
+    assert training._worker_count(TrainConfig()) == min(2, cpus)
+    assert training._worker_count(TrainConfig(batch_size=1)) == 1
+    assert training._worker_count(TrainConfig(workers=3)) == 3
+    monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", dict(pinned, OMP_NUM_THREADS="2"))
+    assert training._worker_count(TrainConfig()) == 1
+    monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", None)   # numpy loaded first
+    assert training._worker_count(TrainConfig()) == 1
+    assert training._worker_count(TrainConfig(workers=2)) == 2
+
+
+def test_workers_without_fork_is_config_error(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with pytest.raises(ConfigError, match="fork"):
+        TrainConfig(workers=2)
+    assert training._worker_count(TrainConfig(workers=1)) == 1
+    with pytest.raises(ValueError, match="workers must be positive"):
+        TrainConfig(workers=0)
 
 
 def test_transformer_freezes_detector(small_dataset, trained_detector):

@@ -129,3 +129,50 @@ def tap_gather_loop(gfull, k, stride, length):
     for r in range(k):
         rows[:, r, :] = gfull[:, r : r + span : stride]
     return rows.reshape(c * k, length)
+
+
+def frames1d_backward_loop(g, n, hop):
+    """Overlap-add of ``(F, frame_len)`` frame gradients one frame at a time,
+    frames in ascending order, into a length-``n`` signal gradient."""
+    frame_len = g.shape[1]
+    gx = np.zeros(n, dtype=g.dtype)
+    for t in range(g.shape[0]):
+        gx[t * hop : t * hop + frame_len] += g[t]
+    return gx
+
+
+def joined_graph_first_iteration(train, val, cfg, detector, model):
+    """History values of a transformer's first iteration, computed with one
+    backward over the whole batch's joined loss graph and a per-array Adam
+    update; ``model`` (and an unfrozen detector) is updated in place and the
+    detector's flags are restored."""
+    from opvib.losses import loss_total
+    from opvib.optim import Adam
+    from opvib.tensor import no_grad
+    from opvib.training import _sample_losses
+
+    batch = np.random.default_rng(cfg.seed).permutation(len(train))[:cfg.batch_size]
+    params = [t for _, t in model.parameters()]
+    det_params = [t for _, t in detector.parameters()]
+    flags = [t.requires_grad for t in det_params]
+    if cfg.freeze_detector:
+        for t in det_params:
+            t.requires_grad = False
+    try:
+        samples = [_sample_losses(model, detector, train[i], cfg) for i in batch]
+        total = loss_total(*samples[0], cfg.lam)
+        for sample in samples[1:]:
+            total = total + loss_total(*sample, cfg.lam)
+        (total / len(samples)).backward()
+        Adam(params if cfg.freeze_detector else params + det_params, lr=cfg.learning_rate).step()
+        with no_grad():
+            val_total = 0.0
+            for pair in val:
+                val_total += loss_total(*(t.item() for t in _sample_losses(model, detector, pair, cfg)),
+                                        cfg.lam)
+    finally:
+        for t, flag in zip(det_params, flags):
+            t.requires_grad = flag
+    n = len(samples)
+    time_l1, stft_l1, class_mse = (sum(t.item() for t in col) / n for col in zip(*samples))
+    return {"time": time_l1, "stft": stft_l1, "class": class_mse, "val_total": val_total / len(val)}
