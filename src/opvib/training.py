@@ -9,10 +9,11 @@ checkpoint with the best validation total is returned.
 
 Both loops are sample-parallel.  Each sample gets its own backward pass
 with the seed ``1/n``, its gradient lands in its own slot of one shared
-arena, and the slots are summed in sample order before one flat Adam
+arena, and the slots are summed in sample order before one Adam
 update; validation values are summed in sample order too.  The calling
-process is worker 0 and ``TrainConfig.workers - 1`` forked children take
-the rest of each batch, so the result is the same for any worker count.
+process is worker 0 and forked children take the rest of each batch, so
+the result is the same for any worker count.  Children are forked only
+when BLAS is verified single-threaded (see ``_worker_count``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .models import (
     save_checkpoint,
 )
 from .optim import Adam
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 __all__ = [
     "WorkerError",
@@ -77,6 +78,13 @@ def _can_fork():
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _usable_cpus():
+    # sched_getaffinity is Linux-only; macOS has fork but not it
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 8
@@ -93,21 +101,11 @@ class TrainConfig:
     iterations_are_epochs: bool = False
     freeze_detector: bool = True
     class_loss_mode: str = "paired"   # or "target": score vs the label's tanh target
-    # processes sharing each batch and validation pass, the caller included;
-    # None takes min(2, usable CPUs, batch_size) when BLAS is verified
-    # single-threaded and 1 otherwise.  The result does not depend on it.
-    workers: int | None = None
 
     def __post_init__(self):
         for name in ("batch_size", "max_iterations", "classifier_epochs", "l_seg", "val_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.workers is not None:
-            if self.workers < 1:
-                raise ValueError("workers must be positive")
-            if self.workers > 1 and not _can_fork():
-                raise ConfigError(f"workers={self.workers} needs the 'fork' start method, "
-                                  "which this platform lacks")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.class_loss_mode not in ("paired", "target"):
@@ -178,57 +176,77 @@ def _require_finite(where, values):
 
 
 def _worker_count(cfg):
-    if cfg.workers is not None:
-        return cfg.workers
+    """Processes that share each batch and validation pass, the caller included.
+
+    ``min(2, usable CPUs, batch_size)`` when BLAS is verified
+    single-threaded and the platform can fork, else 1.  The training result
+    does not depend on it.
+    """
     if not (blas_single_threaded() and _can_fork()):
         # with multithreaded BLAS, two processes only fight over the cores
         return 1
-    return min(_MAX_DEFAULT_WORKERS, len(os.sched_getaffinity(0)), cfg.batch_size)
+    return min(_MAX_DEFAULT_WORKERS, _usable_cpus(), cfg.batch_size)
+
+
+def _shared(shape, dtype):
+    """A zeroed array on an anonymous shared mapping, which forked children share."""
+    dtype = np.dtype(dtype)
+    # the array keeps the mapping alive; it is unmapped with the last view of it
+    shared = mmap.mmap(-1, max(1, int(np.prod(shape))) * dtype.itemsize)
+    return np.frombuffer(shared, dtype, count=int(np.prod(shape))).reshape(shape)
 
 
 class _Arena:
-    """One anonymous shared mapping: the trained parameters as one flat row,
-    then one gradient row per batch position.
+    """The trained parameters and their per-sample gradients in shared memory.
 
-    The parameters are rebound as views into the first row, so forked
-    workers read every update, and Adam updates them all at once through
-    ``flat``.  ``release`` rebinds them to private copies.
+    The parameters of each dtype form one flat row, with one gradient row
+    per batch position in ``grad_dtype``, the dtype their backward passes
+    produce.  The parameters are rebound as views into their row, so forked
+    workers read every update.  ``release`` rebinds them to private copies.
     """
 
-    def __init__(self, params, slots):
-        dtypes = {t.dtype for t in params}
-        if len(dtypes) != 1:
-            raise ConfigError(f"trained parameters mix dtypes {sorted(map(str, dtypes))}")
-        dtype = dtypes.pop()
-        total = sum(t.data.size for t in params)
-        # the arrays keep the mapping alive; it is unmapped with the last of them
-        shared = mmap.mmap(-1, (1 + slots) * total * dtype.itemsize)
-        rows = np.frombuffer(shared, dtype).reshape(1 + slots, total)
-        self.grads = rows[1:]
-        self.flat = Tensor(rows[0])
+    def __init__(self, params, slots, grad_dtype):
         self.params = params
-        self.spans = []
-        start = 0
-        for t in params:
-            view = rows[0, start : start + t.data.size].reshape(t.data.shape)
-            view[...] = t.data
-            t.data = view
-            self.spans.append(slice(start, start + view.size))
-            start += view.size
+        self.grads = []
+        self.spans = []                 # (gradient rows, span) per parameter
+        for dtype in dict.fromkeys(t.dtype for t in params):
+            group = [t for t in params if t.dtype == dtype]
+            flat = _shared(sum(t.data.size for t in group), dtype)
+            grads = _shared((slots, flat.size), grad_dtype)
+            start = 0
+            for t in group:
+                view = flat[start : start + t.data.size].reshape(t.data.shape)
+                view[...] = t.data
+                t.data = view
+                self.spans.append((grads, slice(start, start + view.size)))
+                start += view.size
+            self.grads.append(grads)
+        # a gradient left over from before the call must not join the first sample's
+        self.drop_grads()
 
     def store_grads(self, pos):
         """Move each parameter's gradient into row ``pos`` (0 where none)."""
-        row = self.grads[pos]
-        for t, span in zip(self.params, self.spans):
-            row[span] = 0 if t.grad is None else t.grad.reshape(-1)
+        for t, (grads, span) in zip(self.params, self.spans):
+            if t.grad is None:
+                grads[pos, span] = 0
+            elif t.grad.dtype != grads.dtype:
+                raise ConfigError(f"a {t.grad.dtype} gradient reached a {grads.dtype} arena")
+            else:
+                grads[pos, span] = t.grad.reshape(-1)
             t.grad = None
 
     def sum_grads(self, n):
-        """``((g0 + g1) + g2) + ...`` over the first ``n`` rows, as ``flat.grad``."""
-        total = self.grads[0]
-        for row in self.grads[1:n]:
-            np.add(total, row, out=total)
-        self.flat.grad = total
+        """``((g0 + g1) + g2) + ...`` over the first ``n`` rows, handed to
+        each parameter as its ``grad``."""
+        for grads in self.grads:
+            for row in grads[1:n]:
+                np.add(grads[0], row, out=grads[0])
+        for t, (grads, span) in zip(self.params, self.spans):
+            t.grad = grads[0, span].reshape(t.data.shape)
+
+    def drop_grads(self):
+        for t in self.params:
+            t.grad = None
 
     def release(self):
         for t in self.params:
@@ -248,9 +266,10 @@ def _died(k, proc):
 
 
 class _Workers:
-    """Run named per-item tasks over a list of items, split across processes.
+    """Run named tasks over a list of items, split across processes.
 
-    Worker 0 is the calling process; workers 1.. are children forked at
+    A task maps a run of items to their results.  Worker 0 is the calling
+    process; workers 1.. are children forked at
     construction, which inherit the tasks, the data and the arena, and take
     only small messages over a pipe: a task name with a run of items, and
     back the results or the error.  ``map`` returns results in item order.
@@ -288,7 +307,7 @@ class _Workers:
                 return
             name, items = job
             try:
-                reply = ("ok", [self.tasks[name](item) for item in items])
+                reply = ("ok", self.tasks[name](items))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
                 return
@@ -303,7 +322,7 @@ class _Workers:
                 conn.send((name, shares[k]))
             except OSError:
                 raise _died(k, proc) from None
-        results = [self.tasks[name](item) for item in shares[0]]
+        results = self.tasks[name](shares[0])
         for k, proc, conn in busy:
             try:
                 status, payload = conn.recv()
@@ -338,22 +357,38 @@ class _SampleParallel:
     ``i``.  Both run on whichever worker holds the item.
     """
 
-    def __init__(self, params, cfg, sample_loss, evaluate):
+    def __init__(self, params, cfg, sample_loss, evaluate, grad_dtype):
         self.sample_loss = sample_loss
-        self.arena = _Arena(params, cfg.batch_size)
-        self.opt = Adam([self.arena.flat], lr=cfg.learning_rate)
+        self.held = []
+        self.arena = _Arena(params, cfg.batch_size, grad_dtype)
+        # one Adam array per parameter, as a flat update over a whole row
+        # gives the same bits but allocates row-sized temporaries each step
+        self.opt = Adam(params, lr=cfg.learning_rate)
         try:
-            self.workers = _Workers(_worker_count(cfg),
-                                    {"train": self._backward, "eval": evaluate})
+            self.workers = _Workers(_worker_count(cfg), {
+                "train": self._backward,
+                "eval": lambda items: [evaluate(i) for i in items],
+            })
         except BaseException:
             self.arena.release()
             raise
 
-    def _backward(self, job):
-        pos, i, n = job
-        loss, values = self.sample_loss(i)
-        loss.backward(np.asarray(1.0 / n, dtype=loss.dtype))
-        self.arena.store_grads(pos)
+    def _backward(self, jobs):
+        """Backward passes over a run of batch positions; returns their values."""
+        # The graphs are kept until this worker's next run begins.  Freed
+        # any earlier, they leave the top of the heap free, glibc hands it
+        # back to the system, and the next samples page-fault it all in
+        # again: freed after each sample, the stock transformer step took 9
+        # times the joined-graph loop's page faults and ran 26% slower with
+        # 2 BLAS threads.
+        self.held = graphs = []
+        values = []
+        for pos, i, n in jobs:
+            loss, value = self.sample_loss(i)
+            loss.backward(np.asarray(1.0 / n, dtype=loss.dtype))
+            self.arena.store_grads(pos)
+            graphs.append(loss)
+            values.append(value)
         return values
 
     def step(self, batch):
@@ -361,7 +396,11 @@ class _SampleParallel:
         n = len(batch)
         values = self.workers.map("train", [(pos, int(i), n) for pos, i in enumerate(batch)])
         self.arena.sum_grads(n)
-        self.opt.step()
+        try:
+            self.opt.step()
+        finally:
+            # the summed gradients must not meet the next batch's first sample
+            self.arena.drop_grads()
         return values
 
     def evaluate(self, count):
@@ -371,6 +410,7 @@ class _SampleParallel:
         return self
 
     def __exit__(self, *exc):
+        self.held = []
         try:
             self.workers.close()
         finally:
@@ -406,7 +446,8 @@ def train_fault_detector(train, val, cfg: TrainConfig, log=None):
             scores = model(pair.vibration.reshape(1, -1))
             return loss_class(CLASS_TARGETS[pair.label], scores).item(), predict_label(scores) == pair.label
 
-    with _SampleParallel(params, cfg, sample_loss, evaluate) as engine:
+    grad_dtype = np.result_type(np.float32, model.dtype)
+    with _SampleParallel(params, cfg, sample_loss, evaluate, grad_dtype) as engine:
         for epoch in range(cfg.classifier_epochs):
             train_mse = 0.0
             for batch in _batches(len(train), cfg.batch_size, rng):
@@ -475,12 +516,14 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
             return loss_total(*(t.item() for t in _sample_losses(model, detector, val_pairs[i], cfg)),
                               cfg.lam)
 
+    # the float32 segments and targets meet every parameter in the loss graph
+    grad_dtype = np.result_type(np.float32, model.dtype, detector.dtype)
     history = []
     best = None
     val_total = float("nan")
     it = 0
     with _frozen(det_params, cfg.freeze_detector), \
-            _SampleParallel(trained, cfg, sample_loss, evaluate) as engine:
+            _SampleParallel(trained, cfg, sample_loss, evaluate, grad_dtype) as engine:
         while it < total_iters:
             for batch in _batches(len(train), cfg.batch_size, rng):
                 if it >= total_iters:

@@ -10,7 +10,7 @@ import pytest
 
 from opvib import optim, training
 from opvib.dataio import SyntheticSpec, generate_synthetic, load_segment_pairs
-from opvib.models import ConfigError, OpUNet, parameter_count
+from opvib.models import ConfigError, FaultClassifier, OpUNet, parameter_count
 from opvib.signal import SegmentPair
 from opvib.training import (
     DataSplit,
@@ -112,23 +112,27 @@ def trained_detector(small_dataset):
     return model, split
 
 
-def _transformer_with_nan_bias(trained_detector, workers=None):
+def _use_workers(monkeypatch, count):
+    monkeypatch.setattr(training, "_worker_count", lambda cfg: count)
+
+
+def _transformer_with_nan_bias(trained_detector):
     detector, split = trained_detector
     model = OpUNet(l_seg=int(RATE), seed=3)
     bias = dict(model.parameters())["decoder.4.biases"]
     bias.data[0] = np.nan
-    cfg = TrainConfig(seed=3, max_iterations=4, val_interval=2, l_seg=int(RATE), workers=workers)
+    cfg = TrainConfig(seed=3, max_iterations=4, val_interval=2, l_seg=int(RATE))
     with pytest.raises(ValueError, match=r"^iteration 1: time is not finite"):
         train_transformer(split.train, split.val, cfg, detector, model=model)
 
 
-def _detector_with_nan_sample(small_dataset, workers=None):
+def _detector_with_nan_sample(small_dataset):
     split = split_dataset(small_dataset, 1010.0, train_seconds=10, val_seconds=4)
     train = list(split.train)
     vibration = train[3].vibration.copy()
     vibration[100] = np.nan
     train[3] = SegmentPair(train[3].sound, vibration, train[3].label, speed=train[3].speed)
-    cfg = TrainConfig(seed=5, classifier_epochs=3, l_seg=int(RATE), workers=workers)
+    cfg = TrainConfig(seed=5, classifier_epochs=3, l_seg=int(RATE))
     with pytest.raises(ValueError, match=r"^epoch 0: train_mse is not finite"):
         train_fault_detector(train, split.val, cfg)
 
@@ -141,10 +145,12 @@ def test_detector_stops_on_non_finite_loss(small_dataset):
     _detector_with_nan_sample(small_dataset)
 
 
-def test_non_finite_loss_stops_two_workers_and_leaves_no_child(small_dataset, trained_detector):
-    _transformer_with_nan_bias(trained_detector, workers=2)
+def test_non_finite_loss_stops_two_workers_and_leaves_no_child(small_dataset, trained_detector,
+                                                               monkeypatch):
+    _use_workers(monkeypatch, 2)
+    _transformer_with_nan_bias(trained_detector)
     assert multiprocessing.active_children() == []
-    _detector_with_nan_sample(small_dataset, workers=2)
+    _detector_with_nan_sample(small_dataset)
     assert multiprocessing.active_children() == []
 
 
@@ -172,13 +178,15 @@ def _weights(model):
 
 @pytest.mark.parametrize("mode,freeze", [("paired", True), ("paired", False),
                                          ("target", True), ("target", False)])
-def test_transformer_result_does_not_depend_on_worker_count(trained_detector, mode, freeze):
+def test_transformer_result_does_not_depend_on_worker_count(trained_detector, monkeypatch,
+                                                            mode, freeze):
     detector, split = trained_detector
     runs = []
     for workers in (1, 2, 3):                  # 3 splits a batch of 8 unevenly
+        _use_workers(monkeypatch, workers)
         det = copy.deepcopy(detector)
         cfg = TrainConfig(seed=14, max_iterations=3, val_interval=2, l_seg=int(RATE),
-                          class_loss_mode=mode, freeze_detector=freeze, workers=workers)
+                          class_loss_mode=mode, freeze_detector=freeze)
         with _deadline(120):
             model, history = train_transformer(split.train, split.val, cfg, det)
         runs.append((history, _weights(model) + _weights(det)))
@@ -188,11 +196,12 @@ def test_transformer_result_does_not_depend_on_worker_count(trained_detector, mo
         assert all(np.array_equal(a, b) for a, b in zip(weights, runs[0][1]))
 
 
-def test_detector_result_does_not_depend_on_worker_count(small_dataset):
+def test_detector_result_does_not_depend_on_worker_count(small_dataset, monkeypatch):
     split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
     runs = []
     for workers in (1, 2, 3):
-        cfg = TrainConfig(seed=15, classifier_epochs=3, l_seg=int(RATE), workers=workers)
+        _use_workers(monkeypatch, workers)
+        cfg = TrainConfig(seed=15, classifier_epochs=3, l_seg=int(RATE))
         with _deadline(120):
             model, history = train_fault_detector(split.train, split.val, cfg)
         runs.append((history, _weights(model)))
@@ -203,12 +212,13 @@ def test_detector_result_does_not_depend_on_worker_count(small_dataset):
 
 
 @pytest.mark.parametrize("mode,freeze", [("paired", True), ("target", False)])
-def test_first_iteration_equals_joined_graph(trained_detector, mode, freeze):
+def test_first_iteration_equals_joined_graph(trained_detector, monkeypatch, mode, freeze):
     # each parameter takes one gradient per sample, and the joined graph
     # accumulated them in sample order too, so the update is the same bits
     detector, split = trained_detector
+    _use_workers(monkeypatch, 2)
     cfg = TrainConfig(seed=16, max_iterations=1, l_seg=int(RATE), class_loss_mode=mode,
-                      freeze_detector=freeze, workers=2)
+                      freeze_detector=freeze)
     det, ref_det = copy.deepcopy(detector), copy.deepcopy(detector)
     model, history = train_transformer(split.train, split.val, cfg, det,
                                        model=OpUNet(l_seg=int(RATE), seed=16))
@@ -233,7 +243,8 @@ def test_worker_failure_reaches_the_caller(trained_detector, monkeypatch, failur
         return real_loss_stft(*args)
 
     monkeypatch.setattr(training, "loss_stft", loss_stft)
-    cfg = TrainConfig(seed=17, max_iterations=2, l_seg=int(RATE), workers=2)
+    _use_workers(monkeypatch, 2)
+    cfg = TrainConfig(seed=17, max_iterations=2, l_seg=int(RATE))
     expected = "spectral loss failed in a worker" if failure == "raises" else r"exit code 7"
     with _deadline(60), pytest.raises(WorkerError, match=expected):
         train_transformer(split.train, split.val, cfg, detector)
@@ -251,7 +262,8 @@ def test_adam_steps_once_per_update_in_the_caller(small_dataset, monkeypatch):
         real_step(opt)
 
     monkeypatch.setattr(optim.Adam, "step", step)
-    cfg = TrainConfig(seed=18, classifier_epochs=2, l_seg=int(RATE), workers=2)
+    _use_workers(monkeypatch, 2)
+    cfg = TrainConfig(seed=18, classifier_epochs=2, l_seg=int(RATE))
     train_fault_detector(split.train, split.val, cfg)
     assert steps == [os.getpid()] * (2 * 3)    # 20 pairs -> batches of 8, 8, 4
 
@@ -269,7 +281,8 @@ def test_an_exception_from_adam_step_leaves_no_worker(trained_detector, monkeypa
         raise _Halt
 
     monkeypatch.setattr(optim.Adam, "step", step)
-    cfg = TrainConfig(seed=19, max_iterations=2, l_seg=int(RATE), workers=2)
+    _use_workers(monkeypatch, 2)
+    cfg = TrainConfig(seed=19, max_iterations=2, l_seg=int(RATE))
     with pytest.raises(_Halt):
         train_transformer(split.train, split.val, cfg, detector, model=model)
     assert multiprocessing.active_children() == []
@@ -278,27 +291,62 @@ def test_an_exception_from_adam_step_leaves_no_worker(trained_detector, monkeypa
         assert t.data.base is None and np.array_equal(t.data, orig)
 
 
+@pytest.mark.parametrize("freeze", [True, False])
+def test_stale_gradients_do_not_reach_the_first_update(trained_detector, monkeypatch, freeze):
+    # a gradient left on a parameter before the call (a manual backward, a
+    # gradient check) must not be added into the first sample's
+    detector, split = trained_detector
+    cfg = TrainConfig(seed=20, max_iterations=1, l_seg=int(RATE), freeze_detector=freeze)
+    ref_model, ref_det = OpUNet(l_seg=int(RATE), seed=20), copy.deepcopy(detector)
+    joined_graph_first_iteration(split.train, split.val, cfg, ref_det, ref_model)
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        model, det = OpUNet(l_seg=int(RATE), seed=20), copy.deepcopy(detector)
+        for _, t in model.parameters() + det.parameters():
+            t.grad = np.ones_like(t.data)
+        train_transformer(split.train, split.val, cfg, det, model=model)
+        for a, b in zip(_weights(model) + _weights(det), _weights(ref_model) + _weights(ref_det)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_detector_of_another_dtype_trains_as_with_per_array_adam(trained_detector, monkeypatch,
+                                                                 freeze):
+    # a float64 detector makes the float32 U-Net's gradients float64
+    _, split = trained_detector
+    cfg = TrainConfig(seed=21, max_iterations=1, l_seg=int(RATE), freeze_detector=freeze)
+    detector = FaultClassifier(l_seg=int(RATE), seed=21, dtype=np.float64)
+    ref_model, ref_det = OpUNet(l_seg=int(RATE), seed=21), copy.deepcopy(detector)
+    ref = joined_graph_first_iteration(split.train, split.val, cfg, ref_det, ref_model)
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        model, det = OpUNet(l_seg=int(RATE), seed=21), copy.deepcopy(detector)
+        _, history = train_transformer(split.train, split.val, cfg, det, model=model)
+        assert {key: history[0][key] for key in ref} == ref
+        for a, b in zip(_weights(model) + _weights(det), _weights(ref_model) + _weights(ref_det)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_default_worker_count_needs_verified_blas_pinning(monkeypatch):
     pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-    cpus = len(os.sched_getaffinity(0))
     monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", pinned)
-    assert training._worker_count(TrainConfig()) == min(2, cpus)
+    assert training._worker_count(TrainConfig()) == min(2, training._usable_cpus())
     assert training._worker_count(TrainConfig(batch_size=1)) == 1
-    assert training._worker_count(TrainConfig(workers=3)) == 3
     monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", dict(pinned, OMP_NUM_THREADS="2"))
     assert training._worker_count(TrainConfig()) == 1
     monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", None)   # numpy loaded first
     assert training._worker_count(TrainConfig()) == 1
-    assert training._worker_count(TrainConfig(workers=2)) == 2
 
 
-def test_workers_without_fork_is_config_error(monkeypatch):
+def test_default_worker_count_without_fork_or_affinity(monkeypatch):
+    pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", pinned)
+    # macOS can fork but has no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert training._worker_count(TrainConfig()) == 2
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    with pytest.raises(ConfigError, match="fork"):
-        TrainConfig(workers=2)
-    assert training._worker_count(TrainConfig(workers=1)) == 1
-    with pytest.raises(ValueError, match="workers must be positive"):
-        TrainConfig(workers=0)
+    assert training._worker_count(TrainConfig()) == 1
 
 
 def test_transformer_freezes_detector(small_dataset, trained_detector):
