@@ -253,13 +253,6 @@ class _Arena:
             t.data = t.data.copy()
 
 
-def _shares(items, count):
-    """``items`` cut into ``count`` contiguous runs, longer runs first."""
-    q, r = divmod(len(items), count)
-    bounds = [k * q + min(k, r) for k in range(count + 1)]
-    return [items[bounds[k]:bounds[k + 1]] for k in range(count)]
-
-
 def _died(k, proc):
     proc.join(1.0)
     return WorkerError(f"training worker {k} died (exit code {proc.exitcode})")
@@ -268,24 +261,32 @@ def _died(k, proc):
 class _Workers:
     """Run named tasks over a list of items, split across processes.
 
-    A task maps a run of items to their results.  Worker 0 is the calling
-    process; workers 1.. are children forked at
+    A task maps an iterable of items to the list of their results.  Worker
+    0 is the calling process; workers 1.. are children forked at
     construction, which inherit the tasks, the data and the arena, and take
-    only small messages over a pipe: a task name with a run of items, and
-    back the results or the error.  ``map`` returns results in item order.
-    Forking, not spawning, is what lets the children share the arena and
-    skip pickling the models and data.  The only other threads are BLAS's,
-    and OpenBLAS shuts its pool down before a fork (``pthread_atfork``).
+    only small messages over a pipe: a task name with the items, and back
+    the results or the error.  Worker ``k`` takes item ``k`` first; after
+    that each worker claims the next unclaimed item through a counter in
+    shared memory.  So a worker that the machine slows down takes fewer
+    items rather than holding up the others at the end of a batch.  ``map``
+    returns results in item order.  Forking, not spawning, is what lets the
+    children share the arena and skip pickling the models and data.  The
+    only other threads are BLAS's, and OpenBLAS shuts its pool down before
+    a fork (``pthread_atfork``).
     """
 
     def __init__(self, count, tasks):
         self.tasks = tasks
         self.children = []
-        context = multiprocessing.get_context("fork") if count > 1 else None
+        if count < 2:
+            return
+        context = multiprocessing.get_context("fork")
+        self.lock = context.Lock()
+        self.next = _shared((1,), np.int64)     # the next item to claim
         try:
-            for _ in range(count - 1):
+            for k in range(1, count):
                 conn, child_conn = context.Pipe()
-                proc = context.Process(target=self._serve, args=(child_conn,), daemon=True)
+                proc = context.Process(target=self._serve, args=(k, child_conn), daemon=True)
                 proc.start()
                 # the parent keeps no copy of the child's end, so a dead
                 # child reads as EOF rather than a hang
@@ -295,7 +296,21 @@ class _Workers:
             self.close()
             raise
 
-    def _serve(self, conn):
+    def _claim(self, k, items, taken):
+        """Item ``k``, then each next unclaimed item; their indices go to ``taken``."""
+        while k < len(items):
+            taken.append(k)
+            yield items[k]
+            with self.lock:
+                k = int(self.next[0])
+                self.next[0] = k + 1
+
+    def _run(self, k, name, items):
+        taken = []
+        results = self.tasks[name](self._claim(k, items, taken))
+        return taken, results
+
+    def _serve(self, k, conn):
         # Ctrl-C reaches the whole process group; the parent stops its children
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         while True:
@@ -305,24 +320,28 @@ class _Workers:
                 return
             if job is None:
                 return
-            name, items = job
             try:
-                reply = ("ok", self.tasks[name](items))
+                reply = ("ok", self._run(k, *job))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
                 return
             conn.send(reply)
 
     def map(self, name, items):
-        shares = _shares(list(items), 1 + len(self.children))
-        busy = [(k, proc, conn) for k, ((proc, conn), share)
-                in enumerate(zip(self.children, shares[1:]), start=1) if share]
+        items = list(items)
+        if not self.children:
+            return self.tasks[name](items)
+        # every worker's first item is its own, so claims start after them
+        self.next[0] = 1 + len(self.children)
+        busy = [(k, proc, conn) for k, (proc, conn) in enumerate(self.children, start=1)
+                if k < len(items)]
         for k, proc, conn in busy:
             try:
-                conn.send((name, shares[k]))
+                conn.send((name, items))
             except OSError:
                 raise _died(k, proc) from None
-        results = self.tasks[name](shares[0])
+        results = [None] * len(items)
+        replies = [self._run(0, name, items)]
         for k, proc, conn in busy:
             try:
                 status, payload = conn.recv()
@@ -330,7 +349,10 @@ class _Workers:
                 raise _died(k, proc) from None
             if status != "ok":
                 raise WorkerError(f"training worker {k} failed:\n{payload}")
-            results += payload
+            replies.append(payload)
+        for taken, values in replies:
+            for i, value in zip(taken, values):
+                results[i] = value
         return results
 
     def close(self):
@@ -374,8 +396,8 @@ class _SampleParallel:
             raise
 
     def _backward(self, jobs):
-        """Backward passes over a run of batch positions; returns their values."""
-        # The graphs are kept until this worker's next run begins.  Freed
+        """Backward passes over the batch positions this worker claims; returns their values."""
+        # The graphs are kept until this worker's next batch begins.  Freed
         # any earlier, they leave the top of the heap free, glibc hands it
         # back to the system, and the next samples page-fault it all in
         # again: freed after each sample, the stock transformer step took 9

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -250,6 +251,30 @@ def test_worker_failure_reaches_the_caller(trained_detector, monkeypatch, failur
         train_transformer(split.train, split.val, cfg, detector)
     assert multiprocessing.active_children() == []
     assert all(t.requires_grad for _, t in detector.parameters())
+
+
+def test_a_slow_worker_takes_fewer_items():
+    # each worker starts on its own item and then claims the next free one,
+    # so a child the machine slows down does not hold the others up
+    caller = os.getpid()
+
+    def task(items):
+        done = []
+        for i in items:
+            if os.getpid() != caller:
+                time.sleep(0.2)
+            done.append((i, os.getpid() == caller))
+        return done
+
+    workers = training._Workers(2, {"task": task})
+    try:
+        with _deadline(60):
+            results = workers.map("task", range(10))
+    finally:
+        workers.close()
+    assert [i for i, _ in results] == list(range(10))
+    assert [i for i, by_caller in results if not by_caller] == [1]
+    assert multiprocessing.active_children() == []
 
 
 def test_adam_steps_once_per_update_in_the_caller(small_dataset, monkeypatch):
