@@ -23,6 +23,7 @@ learnable path from sound to vibration.
 from __future__ import annotations
 
 import io
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -112,6 +113,9 @@ def _read_wav(path):
     return samples, float(rate)
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def _read_csv(path):
     try:
         text = path.read_text(encoding="utf-8")
@@ -133,9 +137,13 @@ def _read_csv(path):
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric sample {line!r}") from exc
+            # a finite value past float32's range would be cast to inf
+            if math.isfinite(value) and abs(value) > _FLOAT32_MAX:
+                raise AudioFormatError(f"{path}:{lineno}: sample {line!r} is outside float32 range")
+            values.append(value)
     if not values:
         raise DataError(f"{path}: CSV contains no samples")
     return np.asarray(values, dtype=np.float32), rate

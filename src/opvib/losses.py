@@ -29,6 +29,7 @@ __all__ = [
     "stft_magnitude",
     "loss_time",
     "loss_stft",
+    "loss_magnitude",
     "loss_class",
     "loss_total",
     "MAGNITUDE_EPS",
@@ -63,11 +64,17 @@ def loss_time(y, synth):
 
 def loss_stft(y, synth, n_fft=256, hop=128):
     """Mean absolute error between the magnitude spectra of two segments."""
-    my = stft_magnitude(y, n_fft, hop)
+    return loss_magnitude(stft_magnitude(y, n_fft, hop), synth, n_fft, hop)
+
+
+def loss_magnitude(target, synth, n_fft=256, hop=128):
+    """:func:`loss_stft` against ``target``, a magnitude spectrogram computed
+    beforehand by :func:`stft_magnitude`, so a fixed target is transformed once."""
+    target = _as_tensor(target)
     ms = stft_magnitude(synth, n_fft, hop)
-    if my.data.shape != ms.data.shape:
-        raise ShapeError(f"spectrogram shape mismatch: {my.data.shape} vs {ms.data.shape}")
-    return (my - ms).abs().mean()
+    if target.data.shape != ms.data.shape:
+        raise ShapeError(f"spectrogram shape mismatch: {target.data.shape} vs {ms.data.shape}")
+    return (target - ms).abs().mean()
 
 
 def loss_class(score_real, score_synth):

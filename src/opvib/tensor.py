@@ -91,9 +91,14 @@ class Tensor:
         return out
 
     def _accumulate(self, g):
-        # grads are rebound, never mutated in place, so a first-touch copy
-        # is all that is needed to avoid aliasing the child's buffer
-        self.grad = g.copy() if self.grad is None else self.grad + g
+        # No backward closure writes into a gradient, and a second one is
+        # added into a new array, so an interior node takes its first
+        # gradient as is, even where it aliases a child's.  A leaf copies
+        # its first, so the .grad it keeps after backward() is its own.
+        if self.grad is None:
+            self.grad = g if self._backward is not None else g.copy()
+        else:
+            self.grad = self.grad + g
 
     def backward(self, gradient=None):
         """Run the chain rule from this node back to every reachable leaf.
@@ -110,7 +115,8 @@ class Tensor:
             if self.data.size != 1:
                 raise UsageError("backward() on a non-scalar tensor needs an explicit gradient")
             gradient = np.ones_like(self.data)
-        g = np.asarray(gradient, dtype=self.data.dtype)
+        # a copy, so that no gradient aliases the caller's array
+        g = np.array(gradient, dtype=self.data.dtype)
         if g.shape != self.data.shape:
             raise ShapeError(f"seed gradient shape {g.shape} != tensor shape {self.data.shape}")
 

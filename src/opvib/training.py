@@ -5,7 +5,9 @@ objective against tanh-range targets.  The transformer is then trained with
 the detector cascaded behind it and frozen: each batch minimizes
 ``class_mse + lam * (time_l1 + stft_l1)`` where the class term compares the
 frozen detector's scores for the real and the synthesized vibration.  The
-checkpoint with the best validation total is returned.
+real vibration's spectrogram, and a frozen detector's scores for it, are
+computed once per pair and call.  The checkpoint with the best validation
+total is returned.
 
 Both loops are sample-parallel.  Each sample gets its own backward pass
 with the seed ``1/n``, its gradient lands in its own slot of one shared
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import _BLAS_ENV_AT_LOAD
 from .evaluation import compute_metrics
-from .losses import LossBreakdown, loss_class, loss_stft, loss_time, loss_total
+from .losses import LossBreakdown, loss_class, loss_magnitude, loss_time, loss_total, stft_magnitude
 from .models import (
     CLASS_TARGETS,
     ConfigError,
@@ -381,7 +383,6 @@ class _SampleParallel:
 
     def __init__(self, params, cfg, sample_loss, evaluate, grad_dtype):
         self.sample_loss = sample_loss
-        self.held = []
         self.arena = _Arena(params, cfg.batch_size, grad_dtype)
         # one Adam array per parameter, as a flat update over a whole row
         # gives the same bits but allocates row-sized temporaries each step
@@ -397,19 +398,11 @@ class _SampleParallel:
 
     def _backward(self, jobs):
         """Backward passes over the batch positions this worker claims; returns their values."""
-        # The graphs are kept until this worker's next batch begins.  Freed
-        # any earlier, they leave the top of the heap free, glibc hands it
-        # back to the system, and the next samples page-fault it all in
-        # again: freed after each sample, the stock transformer step took 9
-        # times the joined-graph loop's page faults and ran 26% slower with
-        # 2 BLAS threads.
-        self.held = graphs = []
         values = []
         for pos, i, n in jobs:
             loss, value = self.sample_loss(i)
             loss.backward(np.asarray(1.0 / n, dtype=loss.dtype))
             self.arena.store_grads(pos)
-            graphs.append(loss)
             values.append(value)
         return values
 
@@ -432,7 +425,6 @@ class _SampleParallel:
         return self
 
     def __exit__(self, *exc):
-        self.held = []
         try:
             self.workers.close()
         finally:
@@ -528,15 +520,18 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
     total_iters = (cfg.max_iterations * batches_per_epoch
                    if cfg.iterations_are_epochs else cfg.max_iterations)
     val_pairs = val if val else train
+    # computed before the workers fork, so they inherit them
+    train_fixed = _pair_constants(train, detector, cfg)
+    val_fixed = _pair_constants(val_pairs, detector, cfg)
 
     def sample_loss(i):
-        sample = _sample_losses(model, detector, train[i], cfg)
+        sample = _sample_losses(model, detector, train[i], train_fixed[i], cfg)
         return loss_total(*sample, cfg.lam), [t.item() for t in sample]
 
     def evaluate(i):
         with no_grad():
-            return loss_total(*(t.item() for t in _sample_losses(model, detector, val_pairs[i], cfg)),
-                              cfg.lam)
+            sample = _sample_losses(model, detector, val_pairs[i], val_fixed[i], cfg)
+            return loss_total(*(t.item() for t in sample), cfg.lam)
 
     # the float32 segments and targets meet every parameter in the loss graph
     grad_dtype = np.result_type(np.float32, model.dtype, detector.dtype)
@@ -596,24 +591,40 @@ def _frozen(tensors, freeze):
             t.requires_grad = flag
 
 
-def _sample_losses(model, detector, pair, cfg):
+def _pair_constants(pairs, detector, cfg):
+    """What the losses need of each pair's real vibration, as ``(magnitude, scores)``.
+
+    Its magnitude spectrogram never changes during a run, and neither do a
+    frozen detector's scores for it, which the ``paired`` class term
+    compares against; so both are computed once per call.  ``scores`` is
+    None where the detector's are not needed or change every step.
+    """
+    fixed_scores = cfg.class_loss_mode == "paired" and cfg.freeze_detector
+    with no_grad():
+        return [(stft_magnitude(p.vibration).data,
+                 detector(p.vibration.reshape(1, -1)).data if fixed_scores else None)
+                for p in pairs]
+
+
+def _sample_losses(model, detector, pair, fixed, cfg):
     """Time, spectral and class loss tensors of one pair, as ``(time, stft, class)``.
 
-    The class term compares the detector's scores for the synthesized
-    vibration with its scores for the real vibration (``paired``) or with the
-    label's tanh target (``target``).
+    ``fixed`` is the pair's entry from :func:`_pair_constants`.  The class
+    term compares the detector's scores for the synthesized vibration with
+    its scores for the real vibration (``paired``) or with the label's tanh
+    target (``target``).
     """
+    magnitude, real_scores = fixed
     synth = model(pair.sound.reshape(1, -1))
     t_loss = loss_time(pair.vibration, synth)
-    s_loss = loss_stft(pair.vibration, synth)
+    s_loss = loss_magnitude(magnitude, synth)
     score_s = detector(synth)
-    if cfg.class_loss_mode == "paired":
+    if cfg.class_loss_mode == "target":
+        return t_loss, s_loss, loss_class(CLASS_TARGETS[pair.label], score_s)
+    if real_scores is None:                     # an unfrozen detector changes every step
         with no_grad():
-            score_y = detector(pair.vibration.reshape(1, -1))
-        c_loss = loss_class(score_y.data, score_s)
-    else:
-        c_loss = loss_class(CLASS_TARGETS[pair.label], score_s)
-    return t_loss, s_loss, c_loss
+            real_scores = detector(pair.vibration.reshape(1, -1)).data
+    return t_loss, s_loss, loss_class(real_scores, score_s)
 
 
 def classify_pairs(detector, pairs, transformer=None):

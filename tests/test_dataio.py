@@ -70,6 +70,8 @@ def test_csv_errors(tmp_path):
     ("nan_rate.csv", b"sample_rate_hz=nan\n0.5\n", "sample rate"),
     ("nan_sample.csv", b"sample_rate_hz=100\n0.5\nnan\n", "finite"),
     ("latin1.csv", b"sample_rate_hz=100\n\xe9\n", "UTF-8"),
+    ("huge.csv", b"sample_rate_hz=100\n0.5\n1e300\n", r":3: .*outside float32 range"),
+    ("huge_negative.csv", b"sample_rate_hz=100\n-1e300\n", r":2: .*outside float32 range"),
     ("short_header.wav", b"RIFF\x24\x00\x00\x00WAVEfmt ", "unreadable WAV"),
 ])
 def test_malformed_recording_is_audio_format_error(tmp_path, name, blob, match):

@@ -179,6 +179,8 @@ _LINE = st.text(st.characters(blacklist_categories=["Cs"]), max_size=12) | st.sa
     ["nan", "inf", "-inf", "1e999", "1e300", "0", "-0", "4096", " 1.5 ", "0x10", "1_0"])
 
 
+# an overflowing float32 cast only warns; as an error it fails the test
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_garbage_csv_raises_only_data_errors(data_dir, data):

@@ -265,3 +265,50 @@ def test_grad_accumulates_across_shared_nodes():
     y = x * x  # d/dx = 2x = 4
     y.backward(np.ones(1))
     assert float(x.grad[0]) == 4.0
+
+
+def _graph_nodes(root):
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def _leaf(rng, shape):
+    return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+
+def _twice(rng):
+    x = _leaf(rng, (2, 8))
+    return [x], x + x
+
+
+def _concat_skip(rng):
+    x, w = _leaf(rng, (2, 8)), _leaf(rng, (2, 8))
+    return [x, w], concat([(x * w).tanh(), x])
+
+
+def _two_leaves(rng):
+    a, b = _leaf(rng, (2, 8)), _leaf(rng, (2, 8))
+    return [a, b], a + b
+
+
+@pytest.mark.parametrize("build", [_twice, _concat_skip, _two_leaves])
+def test_leaf_gradients_own_their_memory(build):
+    # interior nodes may pass their gradients on without a copy; a leaf's
+    # .grad must still be its own array after backward()
+    rng = np.random.default_rng(21)
+    leaves, root = build(rng)
+    seed = rng.standard_normal(root.shape).astype(np.float32)
+    root.backward(seed)
+    nodes = _graph_nodes(root)
+    for leaf in leaves:
+        assert leaf.grad is not None
+        assert not np.shares_memory(leaf.grad, seed)
+        for node in nodes:
+            assert not np.shares_memory(leaf.grad, node.data)
+            if node is not leaf and node.grad is not None:
+                assert not np.shares_memory(leaf.grad, node.grad)

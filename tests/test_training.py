@@ -22,7 +22,7 @@ from opvib.training import (
     train_fault_detector,
     train_transformer,
 )
-from util import joined_graph_first_iteration
+from util import joined_graph_training
 
 # small-rate datasets keep the training tests fast; the stride chain and the
 # U-Net both accept 256-sample segments
@@ -212,38 +212,46 @@ def test_detector_result_does_not_depend_on_worker_count(small_dataset, monkeypa
         assert all(np.array_equal(a, b) for a, b in zip(weights, runs[0][1]))
 
 
-@pytest.mark.parametrize("mode,freeze", [("paired", True), ("target", False)])
-def test_first_iteration_equals_joined_graph(trained_detector, monkeypatch, mode, freeze):
+@pytest.mark.parametrize("mode,freeze", [("paired", True), ("paired", False),
+                                         ("target", True), ("target", False)])
+def test_training_equals_joined_graph(trained_detector, monkeypatch, mode, freeze):
     # each parameter takes one gradient per sample, and the joined graph
-    # accumulated them in sample order too, so the update is the same bits
+    # accumulated them in sample order too, so every update is the same bits;
+    # the reference recomputes each pair's spectrogram and detector scores,
+    # over 2 epochs (3 batches each) with 4 validation passes, so a constant
+    # computed once per pair is reused in training and in validation
     detector, split = trained_detector
-    _use_workers(monkeypatch, 2)
-    cfg = TrainConfig(seed=16, max_iterations=1, l_seg=int(RATE), class_loss_mode=mode,
-                      freeze_detector=freeze)
-    det, ref_det = copy.deepcopy(detector), copy.deepcopy(detector)
-    model, history = train_transformer(split.train, split.val, cfg, det,
-                                       model=OpUNet(l_seg=int(RATE), seed=16))
-    ref_model = OpUNet(l_seg=int(RATE), seed=16)
-    ref = joined_graph_first_iteration(split.train, split.val, cfg, ref_det, ref_model)
-    assert {key: history[0][key] for key in ref} == ref
-    for a, b in zip(_weights(model) + _weights(det), _weights(ref_model) + _weights(ref_det)):
-        assert np.array_equal(a, b)
+    assert -(-len(split.train) // 8) == 3
+    cfg = TrainConfig(seed=16, max_iterations=6, val_interval=2, l_seg=int(RATE),
+                      class_loss_mode=mode, freeze_detector=freeze)
+    ref_model, ref_det = OpUNet(l_seg=int(RATE), seed=16), copy.deepcopy(detector)
+    ref = joined_graph_training(split.train, split.val, cfg, ref_det, ref_model)
+    assert len({entry["val_total"] for entry in ref}) == 4
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        det = copy.deepcopy(detector)
+        model, history = train_transformer(split.train, split.val, cfg, det,
+                                           model=OpUNet(l_seg=int(RATE), seed=16))
+        assert history == ref
+        for a, b in zip(_weights(model) + _weights(det), _weights(ref_model) + _weights(ref_det)):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("failure", ["raises", "dies"])
 def test_worker_failure_reaches_the_caller(trained_detector, monkeypatch, failure):
     detector, split = trained_detector
     caller = os.getpid()
-    real_loss_stft = training.loss_stft
+    real_loss_magnitude = training.loss_magnitude
 
-    def loss_stft(*args):
+    # the spectral loss runs for every training sample, in whichever worker holds it
+    def loss_magnitude(*args):
         if os.getpid() != caller:
             if failure == "dies":
                 os._exit(7)
             raise RuntimeError("spectral loss failed in a worker")
-        return real_loss_stft(*args)
+        return real_loss_magnitude(*args)
 
-    monkeypatch.setattr(training, "loss_stft", loss_stft)
+    monkeypatch.setattr(training, "loss_magnitude", loss_magnitude)
     _use_workers(monkeypatch, 2)
     cfg = TrainConfig(seed=17, max_iterations=2, l_seg=int(RATE))
     expected = "spectral loss failed in a worker" if failure == "raises" else r"exit code 7"
@@ -323,7 +331,7 @@ def test_stale_gradients_do_not_reach_the_first_update(trained_detector, monkeyp
     detector, split = trained_detector
     cfg = TrainConfig(seed=20, max_iterations=1, l_seg=int(RATE), freeze_detector=freeze)
     ref_model, ref_det = OpUNet(l_seg=int(RATE), seed=20), copy.deepcopy(detector)
-    joined_graph_first_iteration(split.train, split.val, cfg, ref_det, ref_model)
+    joined_graph_training(split.train, split.val, cfg, ref_det, ref_model)
     for workers in (1, 2):
         _use_workers(monkeypatch, workers)
         model, det = OpUNet(l_seg=int(RATE), seed=20), copy.deepcopy(detector)
@@ -342,12 +350,12 @@ def test_detector_of_another_dtype_trains_as_with_per_array_adam(trained_detecto
     cfg = TrainConfig(seed=21, max_iterations=1, l_seg=int(RATE), freeze_detector=freeze)
     detector = FaultClassifier(l_seg=int(RATE), seed=21, dtype=np.float64)
     ref_model, ref_det = OpUNet(l_seg=int(RATE), seed=21), copy.deepcopy(detector)
-    ref = joined_graph_first_iteration(split.train, split.val, cfg, ref_det, ref_model)
+    ref = joined_graph_training(split.train, split.val, cfg, ref_det, ref_model)
     for workers in (1, 2):
         _use_workers(monkeypatch, workers)
         model, det = OpUNet(l_seg=int(RATE), seed=21), copy.deepcopy(detector)
         _, history = train_transformer(split.train, split.val, cfg, det, model=model)
-        assert {key: history[0][key] for key in ref} == ref
+        assert history == ref
         for a, b in zip(_weights(model) + _weights(det), _weights(ref_model) + _weights(ref_det)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 

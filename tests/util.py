@@ -141,38 +141,83 @@ def frames1d_backward_loop(g, n, hop):
     return gx
 
 
-def joined_graph_first_iteration(train, val, cfg, detector, model):
-    """History values of a transformer's first iteration, computed with one
-    backward over the whole batch's joined loss graph and a per-array Adam
-    update; ``model`` (and an unfrozen detector) is updated in place and the
-    detector's flags are restored."""
-    from opvib.losses import loss_total
+def _fresh_sample_losses(model, detector, pair, cfg):
+    """``(time, stft, class)`` loss tensors of one pair, with the detector's
+    scores and the target spectrogram computed anew on every call."""
+    from opvib.losses import loss_class, loss_stft, loss_time
+    from opvib.models import CLASS_TARGETS
+    from opvib.tensor import no_grad
+
+    if cfg.class_loss_mode == "paired":
+        with no_grad():
+            target = detector(pair.vibration.reshape(1, -1)).data
+    else:
+        target = CLASS_TARGETS[pair.label]
+    synth = model(pair.sound.reshape(1, -1))
+    return (loss_time(pair.vibration, synth), loss_stft(pair.vibration, synth),
+            loss_class(target, detector(synth)))
+
+
+def joined_graph_training(train, val, cfg, detector, model):
+    """The history of a ``train_transformer`` run, recomputed with one
+    backward over each batch's joined loss graph and a per-array Adam update.
+
+    It follows the loop's shuffled batches, validation schedule and
+    best-weights restore, but no cache: every loss is built from the pair
+    alone.  ``model`` (and an unfrozen detector) is updated in place, and
+    the detector's flags are restored.
+    """
+    from opvib.losses import LossBreakdown, loss_total
     from opvib.optim import Adam
     from opvib.tensor import no_grad
-    from opvib.training import _sample_losses
 
-    batch = np.random.default_rng(cfg.seed).permutation(len(train))[:cfg.batch_size]
+    rng = np.random.default_rng(cfg.seed)
     params = [t for _, t in model.parameters()]
     det_params = [t for _, t in detector.parameters()]
+    trained = params if cfg.freeze_detector else params + det_params
     flags = [t.requires_grad for t in det_params]
     if cfg.freeze_detector:
         for t in det_params:
             t.requires_grad = False
+    opt = Adam(trained, lr=cfg.learning_rate)
+    per_epoch = -(-len(train) // cfg.batch_size)
+    total_iters = cfg.max_iterations * (per_epoch if cfg.iterations_are_epochs else 1)
+    history, best, val_total, it = [], None, float("nan"), 0
     try:
-        samples = [_sample_losses(model, detector, train[i], cfg) for i in batch]
-        total = loss_total(*samples[0], cfg.lam)
-        for sample in samples[1:]:
-            total = total + loss_total(*sample, cfg.lam)
-        (total / len(samples)).backward()
-        Adam(params if cfg.freeze_detector else params + det_params, lr=cfg.learning_rate).step()
-        with no_grad():
-            val_total = 0.0
-            for pair in val:
-                val_total += loss_total(*(t.item() for t in _sample_losses(model, detector, pair, cfg)),
-                                        cfg.lam)
+        while it < total_iters:
+            order = rng.permutation(len(train))
+            for start in range(0, len(train), cfg.batch_size):
+                if it >= total_iters:
+                    break
+                samples = [_fresh_sample_losses(model, detector, train[i], cfg)
+                           for i in order[start:start + cfg.batch_size]]
+                joined = loss_total(*samples[0], cfg.lam)
+                for sample in samples[1:]:
+                    joined = joined + loss_total(*sample, cfg.lam)
+                (joined / len(samples)).backward()
+                opt.step()
+                for t in trained:
+                    t.grad = None
+                it += 1
+                n = len(samples)
+                bd = LossBreakdown.from_components(
+                    *(sum(t.item() for t in col) / n for col in zip(*samples)), cfg.lam)
+                if it == 1 or it % cfg.val_interval == 0 or it == total_iters:
+                    val_total = 0.0
+                    with no_grad():
+                        for pair in val:
+                            val_total += loss_total(
+                                *(t.item() for t in _fresh_sample_losses(model, detector, pair, cfg)),
+                                cfg.lam)
+                    val_total /= len(val)
+                    if best is None or val_total < best[0]:
+                        best = (val_total, [t.data.copy() for t in params])
+                history.append({"iter": it, "time": bd.time_l1, "stft": bd.stft_l1,
+                                "class": bd.class_mse, "total": bd.total,
+                                "val_total": val_total})
     finally:
         for t, flag in zip(det_params, flags):
             t.requires_grad = flag
-    n = len(samples)
-    time_l1, stft_l1, class_mse = (sum(t.item() for t in col) / n for col in zip(*samples))
-    return {"time": time_l1, "stft": stft_l1, "class": class_mse, "val_total": val_total / len(val)}
+    for t, data in zip(params, best[1]):
+        t.data = data
+    return history
