@@ -5,10 +5,10 @@ detector pre-training, cascaded transformer training, sound-to-vibration
 synthesis, Table-style evaluation, and the inference latency benchmark.
 
 Every command accepts ``--seed``, ``--reproducible`` and ``--config FILE``
-(plain ``key=value`` lines).  Explicit flags override the config file,
-which overrides built-in defaults; the fully resolved configuration is
-echoed before the command runs.  Exit codes: 0 success, 1 runtime failure,
-2 invalid flags.
+(plain ``key=value`` lines, one key per option of the command).  Explicit
+flags override the config file, which overrides built-in defaults; the
+fully resolved configuration is echoed before the command runs.  Exit
+codes: 0 success, 1 runtime failure, 2 invalid flags or config keys.
 
 ``--reproducible`` pins the BLAS to one thread, through threadpoolctl when
 it is installed and otherwise through the thread-count environment
@@ -51,40 +51,11 @@ from .training import (
     train_transformer,
 )
 
-_COMMON_DEFAULTS = {"seed": 0}
-
 _TRAIN = TrainConfig()
 _SPEC = SyntheticSpec()
 
-# the CLI writes 60 + 60 segments by default, more than SyntheticSpec's 16 + 16
-_DEFAULTS = {
-    "gen-synthetic": {
-        "healthy": 60, "faulty": 60, "out": None, "sample_rate": _SPEC.sample_rate,
-        "noise_level": _SPEC.noise_level, "fault_freq": _SPEC.fault_freq,
-        "fault_amp": _SPEC.fault_amp,
-    },
-    "train-detector": {
-        "manifest": None, "out": None, "held_out_speed": None,
-        "epochs": _TRAIN.classifier_epochs, "batch_size": _TRAIN.batch_size,
-        "lr": _TRAIN.learning_rate, "train_seconds": _TRAIN.train_seconds,
-        "val_seconds": _TRAIN.val_seconds, "l_seg": None,
-    },
-    "train-transformer": {
-        "manifest": None, "detector": None, "out": None, "held_out_speed": None,
-        "iters": _TRAIN.max_iterations, "batch_size": _TRAIN.batch_size,
-        "lr": _TRAIN.learning_rate, "lam": _TRAIN.lam,
-        "train_seconds": _TRAIN.train_seconds, "val_seconds": _TRAIN.val_seconds,
-        "val_interval": _TRAIN.val_interval, "class_loss": _TRAIN.class_loss_mode,
-        "joint": not _TRAIN.freeze_detector,
-    },
-    "synthesize": {"model": None, "sound": None, "out": None},
-    "evaluate": {
-        "detector": None, "manifest": None, "transformer": None, "split": "test",
-        "held_out_speed": None, "train_seconds": _TRAIN.train_seconds,
-        "val_seconds": _TRAIN.val_seconds, "out_dir": None,
-    },
-    "benchmark": {"model": None, "reps": 50, "json": False},
-}
+# flags that steer the run rather than the command: neither echoed nor config keys
+_RUN_FLAGS = ("help", "config", "reproducible")
 
 
 def _build_parser():
@@ -95,110 +66,88 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        # config-file values are parsed by the subcommand's own flag types
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=_TRAIN.seed, help="run seed (default: %(default)s)")
+    common.add_argument("--reproducible", action="store_true",
+                        help="single-threaded, byte-deterministic mode")
+    common.add_argument("--config", help="key=value file overriding built-in defaults")
+
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--manifest", help="dataset manifest (required)")
+    split.add_argument("--held-out-speed", type=float,
+                       help="speed spared for testing (default: highest speed present)")
+    split.add_argument("--train-seconds", type=float, default=_TRAIN.train_seconds,
+                       help="seconds of data for training (default: %(default)s)")
+    split.add_argument("--val-seconds", type=float, default=_TRAIN.val_seconds,
+                       help="seconds of data for validation (default: %(default)s)")
+
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--batch-size", type=int, default=_TRAIN.batch_size,
+                     help="mini-batch size (default: %(default)s)")
+    fit.add_argument("--lr", type=float, default=_TRAIN.learning_rate,
+                     help="learning rate (default: %(default)s)")
+
+    def command(name, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[common, *parents])
+        # _parse types and applies a config file through the subcommand's own flags
         p.set_defaults(subparser=p)
-        p.add_argument("--seed", type=int, default=None, help="run seed (default: 0)")
-        p.add_argument("--reproducible", action="store_true",
-                       help="single-threaded, byte-deterministic mode")
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file overriding built-in defaults")
+        return p
 
-    d = _DEFAULTS["gen-synthetic"]
-    p = sub.add_parser("gen-synthetic", help="write a deterministic synthetic paired dataset")
-    common(p)
-    p.add_argument("--healthy", type=int, default=None, help=f"healthy segment count (default: {d['healthy']})")
-    p.add_argument("--faulty", type=int, default=None, help=f"faulty segment count (default: {d['faulty']})")
-    p.add_argument("--out", type=str, default=None, help="output directory (required)")
-    p.add_argument("--sample-rate", dest="sample_rate", type=float, default=None,
-                   help=f"sample rate in Hz (default: {d['sample_rate']})")
-    p.add_argument("--noise-level", dest="noise_level", type=float, default=None,
-                   help=f"Gaussian noise sigma (default: {d['noise_level']})")
-    p.add_argument("--fault-freq", dest="fault_freq", type=float, default=None,
-                   help=f"fault harmonic frequency in Hz (default: {d['fault_freq']})")
-    p.add_argument("--fault-amp", dest="fault_amp", type=float, default=None,
-                   help=f"fault harmonic amplitude (default: {d['fault_amp']})")
+    p = command("gen-synthetic", "write a deterministic synthetic paired dataset")
+    # the CLI writes 60 + 60 segments by default, more than SyntheticSpec's 16 + 16
+    p.add_argument("--healthy", type=int, default=60, help="healthy segment count (default: %(default)s)")
+    p.add_argument("--faulty", type=int, default=60, help="faulty segment count (default: %(default)s)")
+    p.add_argument("--out", help="output directory (required)")
+    p.add_argument("--sample-rate", type=float, default=_SPEC.sample_rate,
+                   help="sample rate in Hz (default: %(default)s)")
+    p.add_argument("--noise-level", type=float, default=_SPEC.noise_level,
+                   help="Gaussian noise sigma (default: %(default)s)")
+    p.add_argument("--fault-freq", type=float, default=_SPEC.fault_freq,
+                   help="fault harmonic frequency in Hz (default: %(default)s)")
+    p.add_argument("--fault-amp", type=float, default=_SPEC.fault_amp,
+                   help="fault harmonic amplitude (default: %(default)s)")
 
-    d = _DEFAULTS["train-detector"]
-    p = sub.add_parser("train-detector", help="pre-train the fault classifier on real vibration")
-    common(p)
-    p.add_argument("--manifest", type=str, default=None, help="dataset manifest (required)")
-    p.add_argument("--out", type=str, default=None, help="checkpoint output path (required)")
-    p.add_argument("--held-out-speed", dest="held_out_speed", type=float, default=None,
-                   help="speed spared for testing (default: highest speed present)")
-    p.add_argument("--epochs", type=int, default=None, help=f"training epochs (default: {d['epochs']})")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                   help=f"mini-batch size (default: {d['batch_size']})")
-    p.add_argument("--lr", type=float, default=None, help=f"learning rate (default: {d['lr']})")
-    p.add_argument("--train-seconds", dest="train_seconds", type=float, default=None,
-                   help=f"seconds of data for training (default: {d['train_seconds']})")
-    p.add_argument("--val-seconds", dest="val_seconds", type=float, default=None,
-                   help=f"seconds of data for validation (default: {d['val_seconds']})")
-    p.add_argument("--l-seg", dest="l_seg", type=int, default=None,
-                   help="segment length in samples (default: inferred from data)")
+    p = command("train-detector", "pre-train the fault classifier on real vibration", split, fit)
+    p.add_argument("--out", help="checkpoint output path (required)")
+    p.add_argument("--epochs", type=int, default=_TRAIN.classifier_epochs,
+                   help="training epochs (default: %(default)s)")
+    p.add_argument("--l-seg", type=int, help="segment length in samples (default: inferred from data)")
 
-    d = _DEFAULTS["train-transformer"]
-    p = sub.add_parser("train-transformer", help="train the cascaded sound-to-vibration transformer")
-    common(p)
-    p.add_argument("--manifest", type=str, default=None, help="dataset manifest (required)")
-    p.add_argument("--detector", type=str, default=None,
-                   help="pre-trained detector checkpoint (required)")
-    p.add_argument("--out", type=str, default=None, help="checkpoint output path (required)")
-    p.add_argument("--held-out-speed", dest="held_out_speed", type=float, default=None,
-                   help="speed spared for testing (default: highest speed present)")
-    p.add_argument("--iters", type=int, default=None,
-                   help=f"mini-batch updates (default: {d['iters']})")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                   help=f"mini-batch size (default: {d['batch_size']})")
-    p.add_argument("--lr", type=float, default=None, help=f"learning rate (default: {d['lr']})")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help=f"weight on time+spectral terms (default: {d['lam']})")
-    p.add_argument("--train-seconds", dest="train_seconds", type=float, default=None,
-                   help=f"seconds of data for training (default: {d['train_seconds']})")
-    p.add_argument("--val-seconds", dest="val_seconds", type=float, default=None,
-                   help=f"seconds of data for validation (default: {d['val_seconds']})")
-    p.add_argument("--val-interval", dest="val_interval", type=int, default=None,
-                   help=f"iterations between validation passes (default: {d['val_interval']})")
-    p.add_argument("--class-loss", dest="class_loss", choices=("paired", "target"), default=None,
-                   help=f"class term compares detector scores on real vs synthesized "
-                        f"('paired') or synthesized vs label target ('target') "
-                        f"(default: {d['class_loss']})")
-    p.add_argument("--joint", action="store_true", default=None,
+    p = command("train-transformer", "train the cascaded sound-to-vibration transformer", split, fit)
+    p.add_argument("--detector", help="pre-trained detector checkpoint (required)")
+    p.add_argument("--out", help="checkpoint output path (required)")
+    p.add_argument("--iters", type=int, default=_TRAIN.max_iterations,
+                   help="mini-batch updates (default: %(default)s)")
+    p.add_argument("--lambda", dest="lam", type=float, default=_TRAIN.lam,
+                   help="weight on time+spectral terms (default: %(default)s)")
+    p.add_argument("--val-interval", type=int, default=_TRAIN.val_interval,
+                   help="iterations between validation passes (default: %(default)s)")
+    p.add_argument("--class-loss", choices=("paired", "target"), default=_TRAIN.class_loss_mode,
+                   help="class term compares detector scores on real vs synthesized "
+                        "('paired') or synthesized vs label target ('target') "
+                        "(default: %(default)s)")
+    p.add_argument("--joint", action="store_true", default=not _TRAIN.freeze_detector,
                    help="also update the detector (ablation; default: frozen)")
 
-    p = sub.add_parser("synthesize", help="transform a sound recording into a vibration recording")
-    common(p)
-    p.add_argument("--model", type=str, default=None, help="transformer checkpoint (required)")
-    p.add_argument("--sound", type=str, default=None, help="input sound WAV/CSV (required)")
-    p.add_argument("--out", type=str, default=None, help="output vibration WAV (required)")
+    p = command("synthesize", "transform a sound recording into a vibration recording")
+    p.add_argument("--model", help="transformer checkpoint (required)")
+    p.add_argument("--sound", help="input sound WAV/CSV (required)")
+    p.add_argument("--out", help="output vibration WAV (required)")
 
-    d = _DEFAULTS["evaluate"]
-    p = sub.add_parser("evaluate", help="score the detector on real or synthesized vibration")
-    common(p)
-    p.add_argument("--detector", type=str, default=None, help="detector checkpoint (required)")
-    p.add_argument("--manifest", type=str, default=None, help="dataset manifest (required)")
-    p.add_argument("--transformer", type=str, default=None,
+    p = command("evaluate", "score the detector on real or synthesized vibration", split)
+    p.add_argument("--detector", help="detector checkpoint (required)")
+    p.add_argument("--transformer",
                    help="transformer checkpoint; when given, evaluation runs on "
                         "synthesized vibration (default: real vibration)")
-    p.add_argument("--split", choices=("test", "val", "train", "all"), default=None,
-                   help=f"which split to score (default: {d['split']})")
-    p.add_argument("--held-out-speed", dest="held_out_speed", type=float, default=None,
-                   help="speed spared for testing (default: highest speed present)")
-    p.add_argument("--train-seconds", dest="train_seconds", type=float, default=None,
-                   help=f"split boundary (default: {d['train_seconds']})")
-    p.add_argument("--val-seconds", dest="val_seconds", type=float, default=None,
-                   help=f"split boundary (default: {d['val_seconds']})")
-    p.add_argument("--out-dir", dest="out_dir", type=str, default=None,
-                   help="directory for metrics JSON + table files (default: print only)")
+    p.add_argument("--split", choices=("test", "val", "train", "all"), default="test",
+                   help="which split to score (default: %(default)s)")
+    p.add_argument("--out-dir", help="directory for metrics JSON + table files (default: print only)")
 
-    d = _DEFAULTS["benchmark"]
-    p = sub.add_parser("benchmark", help="median single-segment inference latency")
-    common(p)
-    p.add_argument("--model", type=str, default=None, help="transformer checkpoint (required)")
-    p.add_argument("--reps", type=int, default=None,
-                   help=f"timed repetitions, at least 10 (default: {d['reps']})")
-    p.add_argument("--json", action="store_true", default=None,
-                   help="emit the report as JSON")
+    p = command("benchmark", "median single-segment inference latency")
+    p.add_argument("--model", help="transformer checkpoint (required)")
+    p.add_argument("--reps", type=int, default=50,
+                   help="timed repetitions, at least 10 (default: %(default)s)")
+    p.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     return parser
 
@@ -220,6 +169,8 @@ def _read_config_file(path):
 def _coerce(parser, action, raw):
     """A config-file string parsed as the flag ``action`` parses its argument."""
     if action.nargs == 0:                      # a store_true switch
+        if raw.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            parser.error(f"config value {action.dest}={raw!r}: expected true or false")
         return raw.lower() in ("1", "true", "yes", "on")
     try:
         value = action.type(raw) if action.type else raw
@@ -231,21 +182,20 @@ def _coerce(parser, action, raw):
     return value
 
 
-def _resolve(args, command):
-    """flags > config file > defaults; returns the effective option dict."""
-    defaults = dict(_DEFAULTS[command], **_COMMON_DEFAULTS)
-    config = _read_config_file(args.config) if args.config else {}
-    actions = {a.dest: a for a in args.subparser._actions}
-    resolved = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            resolved[key] = _coerce(args.subparser, actions[key], config[key])
-        else:
-            resolved[key] = default
-    return resolved
+def _parse(parser, argv):
+    """flags > config file > defaults; returns the namespace and the command's options."""
+    args = parser.parse_args(argv)
+    sub = args.subparser
+    actions = {a.dest: a for a in sub._actions if a.dest not in _RUN_FLAGS}
+    if args.config:
+        config = _read_config_file(args.config)
+        unknown = [key for key in config if key not in actions]
+        if unknown:
+            sub.error(f"config keys that are not options of {args.command}: {', '.join(unknown)} "
+                      f"(options: {', '.join(sorted(actions))})")
+        sub.set_defaults(**{key: _coerce(sub, actions[key], raw) for key, raw in config.items()})
+        args = parser.parse_args(argv)
+    return args, {dest: getattr(args, dest) for dest in actions}
 
 
 def _echo(opts, reproducible, pinning):
@@ -253,12 +203,6 @@ def _echo(opts, reproducible, pinning):
     rendered = " ".join(f"{k}={opts[k]}" for k in keys)
     suffix = f" pinning={pinning}" if pinning else ""
     print(f"config: {rendered} reproducible={reproducible}{suffix}")
-
-
-def _require(parser, opts, *names):
-    for name in names:
-        if opts.get(name) is None:
-            parser.error(f"--{name.replace('_', '-')} is required")
 
 
 def _default_held_out(pairs, value):
@@ -288,13 +232,12 @@ def _cmd_gen_synthetic(opts):
     faulty = len(manifest.entries) - healthy
     print(f"wrote {len(manifest.entries)} segment pairs ({healthy} healthy, {faulty} faulty)")
     print(f"manifest: {manifest.path}")
-    return 0
 
 
 def _cmd_train_detector(opts):
     pairs = load_segment_pairs(opts["manifest"])
     held_out = _default_held_out(pairs, opts["held_out_speed"])
-    l_seg = opts["l_seg"] or pairs[0].sound.size
+    l_seg = pairs[0].sound.size if opts["l_seg"] is None else opts["l_seg"]
     if l_seg != pairs[0].sound.size:
         raise DataError(f"--l-seg {l_seg} does not match the data's {pairs[0].sound.size}")
     split = split_dataset(pairs, held_out, opts["train_seconds"], opts["val_seconds"])
@@ -311,7 +254,6 @@ def _cmd_train_detector(opts):
     print(f"best epoch {best['epoch']}: val_mse={best['val_mse']:.6f} "
           f"val_acc={best['val_accuracy']:.2f}%")
     print(f"checkpoint: {opts['out']}")
-    return 0
 
 
 def _cmd_train_transformer(opts):
@@ -340,7 +282,6 @@ def _cmd_train_transformer(opts):
     })
     print(f"best iteration {best['iter']}: val_total={best['val_total']:.6f}")
     print(f"checkpoint: {opts['out']}")
-    return 0
 
 
 def _cmd_synthesize(opts):
@@ -372,7 +313,6 @@ def _cmd_synthesize(opts):
     write_wav(opts["out"], Signal(out[:n], sound.sample_rate_hz))
     print(f"synthesized {padded.size // l_seg} segments "
           f"({degenerate} degenerate) -> {opts['out']}")
-    return 0
 
 
 def _cmd_evaluate(opts):
@@ -399,12 +339,11 @@ def _cmd_evaluate(opts):
         (out_dir / f"metrics_{source}.json").write_text(report.to_json() + "\n", encoding="utf-8")
         (out_dir / f"metrics_{source}.txt").write_text(report.to_table(title) + "\n", encoding="utf-8")
         print(f"reports written to {out_dir}")
-    return 0
 
 
-def _cmd_benchmark(opts, parser):
+def _cmd_benchmark(opts):
     if opts["reps"] < 10:
-        parser.error("--reps must be at least 10")
+        raise argparse.ArgumentError(None, "--reps must be at least 10")
     model, _ = _load_kind(opts["model"], "opunet", OpUNet)
     rng = np.random.default_rng(opts["seed"])
     segment = rng.uniform(-1.0, 1.0, model.l_seg).astype(np.float32)
@@ -418,7 +357,17 @@ def _cmd_benchmark(opts, parser):
         print(f"median inference: {median_ms:.2f} ms per 1-second segment "
               f"({opts['reps']} reps)")
         print(f"real-time factor: {rtf:.1f}x")
-    return 0
+
+
+# command: (handler, options it cannot run without)
+_COMMANDS = {
+    "gen-synthetic": (_cmd_gen_synthetic, ("out",)),
+    "train-detector": (_cmd_train_detector, ("manifest", "out")),
+    "train-transformer": (_cmd_train_transformer, ("manifest", "detector", "out")),
+    "synthesize": (_cmd_synthesize, ("model", "sound", "out")),
+    "evaluate": (_cmd_evaluate, ("detector", "manifest")),
+    "benchmark": (_cmd_benchmark, ("model",)),
+}
 
 
 # Set on the re-executed process so that entry() re-executes at most once.
@@ -447,24 +396,14 @@ def _thread_limits(pinning):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    opts = _resolve(args, command)
-
-    if command == "gen-synthetic":
-        if (opts["healthy"] or 0) + (opts["faulty"] or 0) < 1:
-            parser.error("--healthy and --faulty cannot both be zero")
-        _require(parser, opts, "out")
-    elif command == "train-detector":
-        _require(parser, opts, "manifest", "out")
-    elif command == "train-transformer":
-        _require(parser, opts, "manifest", "detector", "out")
-    elif command == "synthesize":
-        _require(parser, opts, "model", "sound", "out")
-    elif command == "evaluate":
-        _require(parser, opts, "detector", "manifest")
-    elif command == "benchmark":
-        _require(parser, opts, "model")
+    args, opts = _parse(parser, argv)
+    handler, required = _COMMANDS[args.command]
+    if args.command == "gen-synthetic" and (min(opts["healthy"], opts["faulty"]) < 0
+                                            or opts["healthy"] + opts["faulty"] < 1):
+        parser.error("--healthy and --faulty cannot be negative or both zero")
+    for name in required:
+        if opts[name] is None:
+            parser.error(f"--{name.replace('_', '-')} is required")
 
     pinning = _pinning_method() if args.reproducible else None
     if args.reproducible and pinning is None:
@@ -475,19 +414,9 @@ def main(argv=None):
     _echo(opts, args.reproducible, pinning)
     try:
         with _thread_limits(pinning):
-            if command == "gen-synthetic":
-                return _cmd_gen_synthetic(opts)
-            if command == "train-detector":
-                return _cmd_train_detector(opts)
-            if command == "train-transformer":
-                return _cmd_train_transformer(opts)
-            if command == "synthesize":
-                return _cmd_synthesize(opts)
-            if command == "evaluate":
-                return _cmd_evaluate(opts)
-            if command == "benchmark":
-                return _cmd_benchmark(opts, parser)
-            parser.error(f"unknown command {command!r}")
+            handler(opts)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except (DataError, CheckpointError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -347,6 +347,9 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
     every speed.  Identical ``spec`` (including seed) yields byte-identical
     files.
     """
+    if min(spec.num_healthy, spec.num_faulty) < 0:
+        raise DataError(f"synthetic spec requests a negative count: {spec.num_healthy} healthy, "
+                        f"{spec.num_faulty} faulty")
     if spec.num_healthy + spec.num_faulty < 1:
         raise DataError("synthetic spec requests zero segments")
     out_dir = Path(out_dir)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .signal import hann_window
-from .tensor import ShapeError, Tensor, frames1d, power_spectrum
+from .signal import windowed_frames
+from .tensor import ShapeError, Tensor, power_spectrum
 
 __all__ = [
     "LossBreakdown",
@@ -44,11 +44,7 @@ def _as_tensor(x):
 
 def stft_magnitude(x, n_fft=256, hop=128):
     """Differentiable magnitude spectrogram, shape ``(frames, n_fft//2 + 1)``."""
-    x = _as_tensor(x)
-    if x.data.size < n_fft:
-        raise ShapeError(f"segment shorter than FFT size: {x.data.size} < {n_fft}")
-    frames = frames1d(x, n_fft, hop) * hann_window(n_fft).astype(x.dtype)
-    return (power_spectrum(frames) + MAGNITUDE_EPS).sqrt()
+    return (power_spectrum(windowed_frames(x, n_fft, hop)) + MAGNITUDE_EPS).sqrt()
 
 
 def loss_time(y, synth):

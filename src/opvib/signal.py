@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import ShapeError, Tensor, frames1d, power_spectrum
+
 __all__ = [
     "Signal",
     "SegmentPair",
@@ -18,6 +20,7 @@ __all__ = [
     "normalize_segment",
     "segment_signal",
     "hann_window",
+    "windowed_frames",
     "stft",
     "spectrogram",
     "num_stft_frames",
@@ -131,28 +134,34 @@ def num_stft_frames(length, n_fft=256, hop=128):
     return (length - n_fft) // hop + 1
 
 
+def windowed_frames(x, n_fft=256, hop=128, window=None):
+    """Frames ``x[t*hop : t*hop + n_fft]`` times the window, a differentiable
+    ``(frames, n_fft)`` :class:`~opvib.tensor.Tensor` in the dtype of ``x``.
+
+    The window defaults to the periodic Hann.  :func:`stft`,
+    :func:`spectrogram` and :func:`opvib.losses.stft_magnitude` all frame
+    through here, so the transform the tests check is the one the loss trains on.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    if x.data.size < n_fft:
+        raise ShapeError(f"segment shorter than FFT size: {x.data.size} < {n_fft}")
+    window = hann_window(n_fft) if window is None else np.asarray(window)
+    if window.shape != (n_fft,):
+        raise ShapeError(f"window shape {window.shape} != ({n_fft},)")
+    return frames1d(x, n_fft, hop) * window.astype(x.dtype)
+
+
 def stft(x, n_fft=256, hop=128, window=None):
     """Short-time Fourier transform, returning ``(frames, n_fft//2 + 1)`` complex bins.
 
-    Frame t covers ``x[t*hop : t*hop + n_fft]``; the window defaults to the
-    periodic Hann.
+    Frame t covers ``x[t*hop : t*hop + n_fft]``, computed in float64; the
+    window defaults to the periodic Hann.
     """
-    x = np.asarray(x).reshape(-1)
-    if x.size < n_fft:
-        raise ValueError(
-            f"segment shorter than FFT size: {x.size} < {n_fft}"
-        )
-    if window is None:
-        window = hann_window(n_fft)
-    window = np.asarray(window)
-    if window.shape != (n_fft,):
-        raise ValueError(f"window shape {window.shape} != ({n_fft},)")
-    count = num_stft_frames(x.size, n_fft, hop)
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop][:count]
-    return np.fft.rfft(frames * window, axis=1)
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    return np.fft.rfft(windowed_frames(x, n_fft, hop, window).data, axis=1)
 
 
 def spectrogram(x, n_fft=256, hop=128, window=None):
     """Squared-magnitude STFT; entries are non-negative."""
-    spec = stft(x, n_fft, hop, window)
-    return (spec.real * spec.real + spec.imag * spec.imag)
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    return power_spectrum(windowed_frames(x, n_fft, hop, window)).data

@@ -144,6 +144,11 @@ def split_dataset(records, held_out_speed, train_seconds=2100.0, val_seconds=800
     segments, in order, the first ``train_seconds`` worth go to training and
     the next ``val_seconds`` worth to validation; any surplus is unused.
     """
+    for name, value in (("train_seconds", train_seconds), ("val_seconds", val_seconds)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    if not (np.isfinite(seg_seconds) and seg_seconds > 0):
+        raise ValueError(f"seg_seconds must be finite and positive, got {seg_seconds}")
     speeds = sorted({r.speed for r in records})
     if held_out_speed not in speeds:
         raise ValueError(

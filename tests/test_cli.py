@@ -79,6 +79,29 @@ def test_gen_synthetic_zero_counts_exit_2(tmp_path):
     assert run(GEN + ["--healthy", "0", "--faulty", "0", "--out", str(tmp_path)]) == 2
 
 
+def test_gen_synthetic_negative_count_exit_2(tmp_path, capsys):
+    assert run(GEN + ["--healthy", "-5", "--faulty", "6", "--out", str(tmp_path)]) == 2
+    assert "negative" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,value", [("--train-seconds", "inf"), ("--val-seconds", "nan"),
+                                        ("--train-seconds", "-3"), ("--val-seconds", "-2")])
+def test_bad_split_seconds_exit_1(dataset, tmp_path, capsys, flag, value):
+    argv = ["train-detector", "--manifest", str(dataset / "manifest.tsv"),
+            "--out", str(tmp_path / "det.opvb"), "--epochs", "1", flag, value]
+    assert run(argv) == 1
+    assert f"{flag[2:].replace('-', '_')} must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "det.opvb").exists()
+
+
+def test_l_seg_zero_is_not_inferred_from_data(dataset, tmp_path, capsys):
+    argv = ["train-detector", "--manifest", str(dataset / "manifest.tsv"),
+            "--out", str(tmp_path / "det.opvb"), "--epochs", "1", "--l-seg", "0"]
+    assert run(argv) == 1
+    assert f"--l-seg 0 does not match the data's {RATE}" in capsys.readouterr().err
+
+
 def test_missing_manifest_is_runtime_failure(tmp_path):
     rc = run(["train-detector", "--manifest", str(tmp_path / "nope.tsv"),
               "--out", str(tmp_path / "x.opvb")])
@@ -188,6 +211,25 @@ def test_config_value_parses_like_its_flag(dataset, tmp_path, capsys, key, flag,
     cfg.write_text(f"{key}=fast\n")
     assert run(argv + ["--config", str(cfg)]) == 2
     assert f"config value {key}='fast'" in capsys.readouterr().err
+
+
+def test_config_switch_value_must_be_true_or_false(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("json=ture\n")
+    # a misspelt switch value used to read as false
+    assert run(["benchmark", "--model", str(tmp_path / "m.opvb"), "--config", str(cfg)]) == 2
+    assert "config value json='ture': expected true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["bach_size=4", "reproducible=1", "config=other.cfg"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"healthy=1\n{line}\n")
+    out = tmp_path / "d"
+    assert run(GEN + ["--config", str(cfg), "--faulty", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"not options of gen-synthetic: {line.split('=')[0]}" in captured.err
+    assert not captured.out and not out.exists()
 
 
 def test_resolved_config_is_echoed(dataset, capsys):

@@ -246,3 +246,10 @@ def test_noiseless_faultless_vibration_is_exact_fir(tmp_path):
 def test_zero_segment_request_is_error(tmp_path):
     with pytest.raises(DataError):
         generate_synthetic(SyntheticSpec(num_healthy=0, num_faulty=0), tmp_path / "d")
+
+
+def test_negative_segment_count_is_error(tmp_path):
+    # -5 healthy and 6 faulty used to write 6 faulty pairs without a word
+    with pytest.raises(DataError, match="negative"):
+        generate_synthetic(SyntheticSpec(num_healthy=-5, num_faulty=6), tmp_path / "d")
+    assert not (tmp_path / "d").exists()

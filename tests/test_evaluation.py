@@ -1,8 +1,11 @@
 import json
+import statistics
+import types
 
 import numpy as np
 import pytest
 
+from opvib import evaluation
 from opvib.evaluation import MetricsReport, benchmark_inference, compute_metrics, real_time_factor
 from opvib.models import OpUNet
 from util import brute_confusion
@@ -96,12 +99,36 @@ def test_benchmark_reports_positive_median(small_model):
     assert real_time_factor(ms, seg_seconds=1.0) == 1000.0 / ms
 
 
-def test_benchmark_is_reasonably_stable(small_model):
-    segment = np.zeros(256, dtype=np.float32)
-    a = benchmark_inference(small_model, segment, repetitions=30, warmup=5)
-    b = benchmark_inference(small_model, segment, repetitions=30, warmup=0)
-    # median-based, so two consecutive runs should sit within ~20% of each other
-    assert 0.8 <= a / b <= 1.25
+def test_benchmark_is_reasonably_stable(monkeypatch):
+    # a scripted clock: each forward pass takes the next listed duration, so
+    # the result is exact whatever the load on the host
+    def bench(warmup_ms, timed_ms):
+        durations = iter(warmup_ms + timed_ms)
+        clock = {"now": 0.0, "calls": 0, "reads": []}
+
+        def model(x):
+            clock["calls"] += 1
+            clock["now"] += next(durations) / 1e3
+
+        def perf_counter():
+            clock["reads"].append(clock["calls"])
+            return clock["now"]
+
+        monkeypatch.setattr(evaluation, "time", types.SimpleNamespace(perf_counter=perf_counter))
+        ms = benchmark_inference(model, np.zeros(8, dtype=np.float32),
+                                 repetitions=len(timed_ms), warmup=len(warmup_ms))
+        assert clock["calls"] == len(warmup_ms) + len(timed_ms)
+        return ms, clock["reads"]
+
+    warmup = [1e3] * 3
+    timed = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0]
+    ms, reads = bench(warmup, timed)
+    assert ms == pytest.approx(statistics.median(timed), rel=1e-6)
+    # one repetition 100x slower does not move the median
+    slow = [100.0 * t if t == max(timed) else t for t in timed]
+    assert bench(warmup, slow)[0] == pytest.approx(ms, rel=1e-6)
+    # the clock is read only after the warm-up calls, twice per repetition
+    assert reads == [len(warmup) + i + j for i in range(len(timed)) for j in (0, 1)]
 
 
 def test_benchmark_rejects_too_few_repetitions(small_model):

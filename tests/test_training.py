@@ -81,6 +81,21 @@ def test_split_unknown_speed_lists_available():
     assert "480" in str(err.value) and "680" in str(err.value)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"train_seconds": float("inf")}, "train_seconds"),
+    ({"val_seconds": float("nan")}, "val_seconds"),
+    ({"train_seconds": -3.0}, "train_seconds"),
+    ({"val_seconds": -2.0}, "val_seconds"),
+    ({"seg_seconds": 0.0}, "seg_seconds"),
+    ({"seg_seconds": -1.0}, "seg_seconds"),
+])
+def test_split_rejects_bad_durations(kwargs, name):
+    # a negative count used to slice from the end, and inf/NaN died in int()
+    records = [tiny_pair("healthy", s, i) for i, s in enumerate([480, 680, 1010] * 8)]
+    with pytest.raises(ValueError, match=name):
+        split_dataset(records, 1010, **{"train_seconds": 8, "val_seconds": 2, **kwargs})
+
+
 def test_detector_overfits_separable_data(small_dataset):
     split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
     cfg = TrainConfig(seed=2, classifier_epochs=50, l_seg=int(RATE))
