@@ -26,7 +26,7 @@ from .tensor import (
     frames1d,
     power_spectrum,
 )
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .selfonn import (
     OperationalLayer,
     OperationalLayerConfig,
@@ -44,7 +44,6 @@ from .signal import (
     stft,
 )
 from .losses import (
-    LossBreakdown,
     loss_class,
     loss_stft,
     loss_time,

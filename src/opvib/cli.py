@@ -152,15 +152,19 @@ def _build_parser():
     return parser
 
 
-def _read_config_file(path):
+def _read_config_file(parser, path):
+    """The ``key=value`` lines of ``path``; a file that cannot be read is a usage error."""
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            parser.error(f"config file {path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -188,7 +192,7 @@ def _parse(parser, argv):
     sub = args.subparser
     actions = {a.dest: a for a in sub._actions if a.dest not in _RUN_FLAGS}
     if args.config:
-        config = _read_config_file(args.config)
+        config = _read_config_file(sub, args.config)
         unknown = [key for key in config if key not in actions]
         if unknown:
             sub.error(f"config keys that are not options of {args.command}: {', '.join(unknown)} "
@@ -211,10 +215,10 @@ def _default_held_out(pairs, value):
     return max(p.speed for p in pairs)
 
 
-def _load_kind(path, kind, klass):
+def _load_kind(path, klass):
     model, meta = load_checkpoint(path)
     if not isinstance(model, klass):
-        raise DataError(f"{path}: checkpoint holds a {model.KIND}, expected a {kind}")
+        raise DataError(f"{path}: checkpoint holds a {model.KIND}, expected a {klass.KIND}")
     return model, meta
 
 
@@ -257,7 +261,7 @@ def _cmd_train_detector(opts):
 
 
 def _cmd_train_transformer(opts):
-    detector, det_meta = _load_kind(opts["detector"], "fault_classifier", FaultClassifier)
+    detector, det_meta = _load_kind(opts["detector"], FaultClassifier)
     pairs = load_segment_pairs(opts["manifest"])
     held_out = _default_held_out(pairs, opts["held_out_speed"])
     if detector.l_seg != pairs[0].sound.size:
@@ -288,7 +292,7 @@ def _cmd_synthesize(opts):
     from .dataio import _normalize_with_flag
     from .tensor import Tensor, no_grad
 
-    model, meta = _load_kind(opts["model"], "opunet", OpUNet)
+    model, meta = _load_kind(opts["model"], OpUNet)
     sound = load_recording(opts["sound"])
     l_seg = model.l_seg
     expected_rate = float(meta.get("sample_rate_hz", l_seg))
@@ -316,10 +320,10 @@ def _cmd_synthesize(opts):
 
 
 def _cmd_evaluate(opts):
-    detector, _ = _load_kind(opts["detector"], "fault_classifier", FaultClassifier)
+    detector, _ = _load_kind(opts["detector"], FaultClassifier)
     transformer = None
     if opts["transformer"]:
-        transformer, _ = _load_kind(opts["transformer"], "opunet", OpUNet)
+        transformer, _ = _load_kind(opts["transformer"], OpUNet)
     pairs = load_segment_pairs(opts["manifest"])
     held_out = _default_held_out(pairs, opts["held_out_speed"])
     if opts["split"] == "all":
@@ -344,7 +348,7 @@ def _cmd_evaluate(opts):
 def _cmd_benchmark(opts):
     if opts["reps"] < 10:
         raise argparse.ArgumentError(None, "--reps must be at least 10")
-    model, _ = _load_kind(opts["model"], "opunet", OpUNet)
+    model, _ = _load_kind(opts["model"], OpUNet)
     rng = np.random.default_rng(opts["seed"])
     segment = rng.uniform(-1.0, 1.0, model.l_seg).astype(np.float32)
     median_ms = benchmark_inference(model, segment, opts["reps"])

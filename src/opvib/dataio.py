@@ -352,6 +352,8 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
                         f"{spec.num_faulty} faulty")
     if spec.num_healthy + spec.num_faulty < 1:
         raise DataError("synthetic spec requests zero segments")
+    if not (np.isfinite(spec.sample_rate) and spec.sample_rate > 0):
+        raise DataError(f"synthetic spec needs a finite, positive sample rate, got {spec.sample_rate}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)

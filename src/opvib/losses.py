@@ -19,13 +19,10 @@ It is the single-resolution case of the STFT loss of Parallel WaveGAN
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .signal import windowed_frames
 from .tensor import ShapeError, Tensor, power_spectrum
 
 __all__ = [
-    "LossBreakdown",
     "stft_magnitude",
     "loss_time",
     "loss_stft",
@@ -89,29 +86,3 @@ def loss_total(time_l1, stft_l1, class_mse, lam=100.0):
     """
     return class_mse + lam * (time_l1 + stft_l1)
 
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Scalar values of the three loss terms and their weighted total."""
-
-    time_l1: float
-    stft_l1: float
-    class_mse: float
-    lam: float
-    total: float
-
-    def __post_init__(self):
-        expected = self.class_mse + self.lam * (self.time_l1 + self.stft_l1)
-        if abs(self.total - expected) > 1e-7 * max(1.0, abs(expected)):
-            raise ValueError(
-                f"inconsistent total {self.total} != {expected} "
-                f"(class + lam*(time + stft))"
-            )
-
-    @classmethod
-    def from_components(cls, time_l1, stft_l1, class_mse, lam=100.0):
-        def val(x):
-            return float(x.item()) if isinstance(x, Tensor) else float(x)
-
-        t, s, c = val(time_l1), val(stft_l1), val(class_mse)
-        return cls(t, s, c, float(lam), loss_total(t, s, c, float(lam)))

@@ -6,86 +6,47 @@ eps=1e-8); only the learning rate is expected to be tuned by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError
 
-__all__ = ["AdamState", "adam_step", "Adam"]
-
-
-@dataclass
-class AdamState:
-    """First/second moment buffers and the shared step counter."""
-
-    m: list
-    v: list
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def for_params(cls, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        arrays = [p.data if isinstance(p, Tensor) else np.asarray(p) for p in params]
-        return cls(
-            m=[np.zeros_like(a) for a in arrays],
-            v=[np.zeros_like(a) for a in arrays],
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
-
-
-def adam_step(params, grads, state, lr):
-    """Apply one bias-corrected Adam update in place.
-
-    ``params`` and ``grads`` are parallel lists of arrays (or Tensors) whose
-    shapes must match the state buffers.  Returns ``(params, state)`` with
-    ``state.t`` incremented by exactly one.
-    """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError(
-            f"parameter/gradient/state count mismatch: {len(params)}/{len(grads)}/{len(state.m)}"
-        )
-    arrays = [p.data if isinstance(p, Tensor) else p for p in params]
-    garrays = [g.data if isinstance(g, Tensor) else np.asarray(g) for g in grads]
-    for i, (a, g) in enumerate(zip(arrays, garrays)):
-        if a.shape != g.shape or a.shape != state.m[i].shape:
-            raise ShapeError(
-                f"shape mismatch at parameter {i}: param {a.shape}, grad {g.shape}, "
-                f"state {state.m[i].shape}"
-            )
-    state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for a, g, m, v in zip(arrays, garrays, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        a -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params, state
+__all__ = ["Adam"]
 
 
 class Adam:
-    """Stateful wrapper around :func:`adam_step` for a fixed parameter list."""
+    """Adam over a fixed list of tensors, updating each one's array in place.
+
+    ``m`` and ``v`` hold each parameter's first and second moment and ``t``
+    counts the steps taken.  A parameter without a gradient steps as if its
+    gradient were zero.
+    """
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.lr = lr
-        self.state = AdamState.for_params(self.params, beta1, beta2, eps)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self):
-        grads = []
-        for p in self.params:
-            if p.grad is None:
-                grads.append(np.zeros_like(p.data))
-            else:
-                grads.append(p.grad)
-        adam_step(self.params, grads, self.state, self.lr)
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in self.params]
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            if g.shape != p.data.shape:
+                raise ShapeError(f"shape mismatch at parameter {i}: param {p.data.shape}, "
+                                 f"grad {g.shape}")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def zero_grad(self):
         for p in self.params:

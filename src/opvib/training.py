@@ -6,8 +6,8 @@ the detector cascaded behind it and frozen: each batch minimizes
 ``class_mse + lam * (time_l1 + stft_l1)`` where the class term compares the
 frozen detector's scores for the real and the synthesized vibration.  The
 real vibration's spectrogram, and a frozen detector's scores for it, are
-computed once per pair and call.  The checkpoint with the best validation
-total is returned.
+computed once per pair and call.  The weights with the best validation
+total are returned; writing them to a checkpoint is the caller's job.
 
 Both loops are sample-parallel.  Each sample gets its own backward pass
 with the seed ``1/n``, its gradient lands in its own slot of one shared
@@ -32,15 +32,8 @@ import numpy as np
 
 from . import _BLAS_ENV_AT_LOAD
 from .evaluation import compute_metrics
-from .losses import LossBreakdown, loss_class, loss_magnitude, loss_time, loss_total, stft_magnitude
-from .models import (
-    CLASS_TARGETS,
-    ConfigError,
-    FaultClassifier,
-    OpUNet,
-    predict_label,
-    save_checkpoint,
-)
+from .losses import loss_class, loss_magnitude, loss_time, loss_total, stft_magnitude
+from .models import CLASS_TARGETS, ConfigError, FaultClassifier, OpUNet, predict_label
 from .optim import Adam
 from .tensor import no_grad
 
@@ -96,11 +89,9 @@ class TrainConfig:
     lam: float = 100.0
     seed: int = 0
     l_seg: int = 4096
-    checkpoint_dir: str | None = None
     train_seconds: float = 2100.0
     val_seconds: float = 800.0
     val_interval: int = 25
-    iterations_are_epochs: bool = False
     freeze_detector: bool = True
     class_loss_mode: str = "paired"   # or "target": score vs the label's tanh target
 
@@ -108,8 +99,10 @@ class TrainConfig:
         for name in ("batch_size", "max_iterations", "classifier_epochs", "l_seg", "val_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
         if self.class_loss_mode not in ("paired", "target"):
             raise ValueError(f"class_loss_mode must be 'paired' or 'target', got {self.class_loss_mode!r}")
 
@@ -485,16 +478,13 @@ def train_fault_detector(train, val, cfg: TrainConfig, log=None):
             history.append({"epoch": epoch, "train_mse": train_mse,
                             "val_mse": val_mse, "val_accuracy": val_acc})
             if best is None or val_mse < best[0]:
-                best = (val_mse, epoch, [t.data.copy() for t in params])
+                best = (val_mse, [t.data.copy() for t in params])
             if log:
                 log(f"epoch={epoch} train_mse={train_mse:.6f} val_mse={val_mse:.6f} "
                     f"val_acc={val_acc:.2f}")
 
-    for t, data in zip(params, best[2]):
+    for t, data in zip(params, best[1]):
         t.data = data
-    if cfg.checkpoint_dir:
-        save_checkpoint(model, f"{cfg.checkpoint_dir}/detector_best.opvb",
-                        meta={"seed": cfg.seed, "epoch": best[1], "val_mse": best[0]})
     return model, history
 
 
@@ -521,9 +511,6 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
     trained = params if cfg.freeze_detector else params + det_params
 
     rng = np.random.default_rng(cfg.seed)
-    batches_per_epoch = max(1, (len(train) + cfg.batch_size - 1) // cfg.batch_size)
-    total_iters = (cfg.max_iterations * batches_per_epoch
-                   if cfg.iterations_are_epochs else cfg.max_iterations)
     val_pairs = val if val else train
     # computed before the workers fork, so they inherit them
     train_fixed = _pair_constants(train, detector, cfg)
@@ -546,38 +533,33 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
     it = 0
     with _frozen(det_params, cfg.freeze_detector), \
             _SampleParallel(trained, cfg, sample_loss, evaluate, grad_dtype) as engine:
-        while it < total_iters:
+        while it < cfg.max_iterations:
             for batch in _batches(len(train), cfg.batch_size, rng):
-                if it >= total_iters:
+                if it >= cfg.max_iterations:
                     break
                 items = engine.step(batch)
                 it += 1
 
-                n = len(items)
-                bd = LossBreakdown.from_components(*(sum(col) / n for col in zip(*items)), cfg.lam)
-                _require_finite(f"iteration {it}", {"time": bd.time_l1, "stft": bd.stft_l1,
-                                                    "class": bd.class_mse})
-                if it == 1 or it % cfg.val_interval == 0 or it == total_iters:
+                time_l1, stft_l1, class_mse = (sum(col) / len(items) for col in zip(*items))
+                _require_finite(f"iteration {it}", {"time": time_l1, "stft": stft_l1,
+                                                    "class": class_mse})
+                total = loss_total(time_l1, stft_l1, class_mse, cfg.lam)
+                if it == 1 or it % cfg.val_interval == 0 or it == cfg.max_iterations:
                     val_total = 0.0
                     for value in engine.evaluate(len(val_pairs)):
                         val_total += value
                     val_total /= len(val_pairs)
                     _require_finite(f"iteration {it}", {"val_total": val_total})
                     if best is None or val_total < best[0]:
-                        best = (val_total, it, [t.data.copy() for t in params])
-                        if cfg.checkpoint_dir:
-                            save_checkpoint(model, f"{cfg.checkpoint_dir}/transformer_best.opvb",
-                                            meta={"seed": cfg.seed, "iteration": it,
-                                                  "val_loss": val_total})
-                history.append({"iter": it, "time": bd.time_l1, "stft": bd.stft_l1,
-                                "class": bd.class_mse, "total": bd.total,
-                                "val_total": val_total})
+                        best = (val_total, [t.data.copy() for t in params])
+                history.append({"iter": it, "time": time_l1, "stft": stft_l1,
+                                "class": class_mse, "total": total, "val_total": val_total})
                 if log:
-                    log(f"iter={it} time={bd.time_l1:.6f} stft={bd.stft_l1:.6f} "
-                        f"class={bd.class_mse:.6f} total={bd.total:.6f} val_total={val_total:.6f}")
+                    log(f"iter={it} time={time_l1:.6f} stft={stft_l1:.6f} "
+                        f"class={class_mse:.6f} total={total:.6f} val_total={val_total:.6f}")
 
     if best is not None:
-        for t, data in zip(params, best[2]):
+        for t, data in zip(params, best[1]):
             t.data = data
     return model, history
 

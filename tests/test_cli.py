@@ -125,6 +125,15 @@ def test_transformer_emits_per_iteration_loss_lines(dataset, detector_ckpt, tmp_
     assert "val_total=" in out
 
 
+def test_negative_lambda_exits_1(dataset, detector_ckpt, tmp_path, capsys):
+    rc = run(["train-transformer", "--manifest", str(dataset / "manifest.tsv"),
+              "--detector", str(detector_ckpt), "--out", str(tmp_path / "t.opvb"),
+              "--iters", "1", "--lambda", "-5"])
+    assert rc == 1
+    assert "error: lam must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "t.opvb").exists()
+
+
 def test_synthesize_round_trip_preserves_duration(dataset, transformer_ckpt, tmp_path):
     src = dataset / "seg0000_sound.wav"
     out = tmp_path / "synth.wav"
@@ -219,6 +228,23 @@ def test_config_switch_value_must_be_true_or_false(tmp_path, capsys):
     # a misspelt switch value used to read as false
     assert run(["benchmark", "--model", str(tmp_path / "m.opvb"), "--config", str(cfg)]) == 2
     assert "config value json='ture': expected true or false" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nofile.cfg"
+    assert run(["benchmark", "--model", str(tmp_path / "m.opvb"), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot read config file {cfg}" in captured.err
+    assert not captured.out
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reps=20\ngarbage line\n")
+    assert run(["benchmark", "--model", str(tmp_path / "m.opvb"), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"config file {cfg}:2: expected key=value, got 'garbage line'" in captured.err
+    assert not captured.out
 
 
 @pytest.mark.parametrize("line", ["bach_size=4", "reproducible=1", "config=other.cfg"])

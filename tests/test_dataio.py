@@ -253,3 +253,11 @@ def test_negative_segment_count_is_error(tmp_path):
     with pytest.raises(DataError, match="negative"):
         generate_synthetic(SyntheticSpec(num_healthy=-5, num_faulty=6), tmp_path / "d")
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("rate", [0.0, -256.0, float("nan"), float("inf")])
+def test_bad_sample_rate_is_error(tmp_path, rate):
+    # 0 used to die in numpy ("a cannot be empty"), NaN in int()
+    with pytest.raises(DataError, match="sample rate"):
+        generate_synthetic(SyntheticSpec(sample_rate=rate), tmp_path / "d")
+    assert not (tmp_path / "d").exists()

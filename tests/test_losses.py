@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from opvib.losses import (
-    LossBreakdown,
     loss_class,
     loss_stft,
     loss_time,
@@ -70,13 +69,6 @@ def test_total_linear_in_lambda():
     l1 = loss_total(t, s, c, lam=10.0)
     l2 = loss_total(t, s, c, lam=20.0)
     assert l2 - l1 == pytest.approx(10.0 * (t + s))
-
-
-def test_breakdown_invariant_enforced():
-    bd = LossBreakdown.from_components(0.2, 0.3, 0.1, 100.0)
-    assert bd.total == pytest.approx(50.1)
-    with pytest.raises(ValueError):
-        LossBreakdown(0.2, 0.3, 0.1, 100.0, total=49.0)
 
 
 def test_losses_zero_iff_equal():

@@ -96,6 +96,24 @@ def test_split_rejects_bad_durations(kwargs, name):
         split_dataset(records, 1010, **{"train_seconds": 8, "val_seconds": 2, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"lam": -5.0}, "lam"),
+    ({"lam": float("inf")}, "lam"),
+    ({"lam": float("nan")}, "lam"),
+    ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"learning_rate": float("inf")}, "learning_rate"),
+    ({"learning_rate": 0.0}, "learning_rate"),
+])
+def test_config_rejects_bad_lam_and_learning_rate(kwargs, name):
+    # a negative lam trained the U-Net to maximize the time and spectral error
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**kwargs)
+
+
+def test_config_accepts_zero_lam():
+    assert TrainConfig(lam=0).lam == 0
+
+
 def test_detector_overfits_separable_data(small_dataset):
     split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
     cfg = TrainConfig(seed=2, classifier_epochs=50, l_seg=int(RATE))
@@ -448,15 +466,6 @@ def test_transformer_seed_determinism(small_dataset, trained_detector):
         assert np.array_equal(a.data, b.data)
 
 
-def test_transformer_epoch_iteration_reading(small_dataset, trained_detector):
-    detector, split = trained_detector
-    cfg = TrainConfig(seed=7, max_iterations=2, val_interval=50, l_seg=int(RATE),
-                      iterations_are_epochs=True, batch_size=8)
-    _, history = train_transformer(split.train, split.val, cfg, detector)
-    batches_per_epoch = (len(split.train) + 7) // 8
-    assert len(history) == 2 * batches_per_epoch
-
-
 def test_transformer_target_class_loss_mode(small_dataset, trained_detector):
     detector, split = trained_detector
     cfg = TrainConfig(seed=8, max_iterations=2, val_interval=2, l_seg=int(RATE),
@@ -487,17 +496,6 @@ def test_detector_memorizes_one_pair_per_class(small_dataset):
     model, _ = train_fault_detector(one_each, one_each, cfg)
     preds, labels = classify_pairs(model, one_each)
     assert preds == labels
-
-
-def test_periodic_checkpoints_written(small_dataset, trained_detector, tmp_path):
-    detector, split = trained_detector
-    cfg = TrainConfig(seed=12, max_iterations=4, val_interval=2, l_seg=int(RATE),
-                      checkpoint_dir=str(tmp_path))
-    train_transformer(split.train, split.val, cfg, detector)
-    assert (tmp_path / "transformer_best.opvb").exists()
-    from opvib.models import load_checkpoint
-    model, meta = load_checkpoint(tmp_path / "transformer_best.opvb")
-    assert meta["seed"] == 12 and "val_loss" in meta
 
 
 def test_run_experiment_schema(small_dataset):

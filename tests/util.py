@@ -167,7 +167,7 @@ def joined_graph_training(train, val, cfg, detector, model):
     alone.  ``model`` (and an unfrozen detector) is updated in place, and
     the detector's flags are restored.
     """
-    from opvib.losses import LossBreakdown, loss_total
+    from opvib.losses import loss_total
     from opvib.optim import Adam
     from opvib.tensor import no_grad
 
@@ -180,14 +180,12 @@ def joined_graph_training(train, val, cfg, detector, model):
         for t in det_params:
             t.requires_grad = False
     opt = Adam(trained, lr=cfg.learning_rate)
-    per_epoch = -(-len(train) // cfg.batch_size)
-    total_iters = cfg.max_iterations * (per_epoch if cfg.iterations_are_epochs else 1)
     history, best, val_total, it = [], None, float("nan"), 0
     try:
-        while it < total_iters:
+        while it < cfg.max_iterations:
             order = rng.permutation(len(train))
             for start in range(0, len(train), cfg.batch_size):
-                if it >= total_iters:
+                if it >= cfg.max_iterations:
                     break
                 samples = [_fresh_sample_losses(model, detector, train[i], cfg)
                            for i in order[start:start + cfg.batch_size]]
@@ -199,10 +197,9 @@ def joined_graph_training(train, val, cfg, detector, model):
                 for t in trained:
                     t.grad = None
                 it += 1
-                n = len(samples)
-                bd = LossBreakdown.from_components(
-                    *(sum(t.item() for t in col) / n for col in zip(*samples)), cfg.lam)
-                if it == 1 or it % cfg.val_interval == 0 or it == total_iters:
+                time_l1, stft_l1, class_mse = (sum(t.item() for t in col) / len(samples)
+                                               for col in zip(*samples))
+                if it == 1 or it % cfg.val_interval == 0 or it == cfg.max_iterations:
                     val_total = 0.0
                     with no_grad():
                         for pair in val:
@@ -212,8 +209,9 @@ def joined_graph_training(train, val, cfg, detector, model):
                     val_total /= len(val)
                     if best is None or val_total < best[0]:
                         best = (val_total, [t.data.copy() for t in params])
-                history.append({"iter": it, "time": bd.time_l1, "stft": bd.stft_l1,
-                                "class": bd.class_mse, "total": bd.total,
+                history.append({"iter": it, "time": time_l1, "stft": stft_l1,
+                                "class": class_mse,
+                                "total": loss_total(time_l1, stft_l1, class_mse, cfg.lam),
                                 "val_total": val_total})
     finally:
         for t, flag in zip(det_params, flags):
