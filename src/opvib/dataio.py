@@ -354,6 +354,14 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
         raise DataError("synthetic spec requests zero segments")
     if not (np.isfinite(spec.sample_rate) and spec.sample_rate > 0):
         raise DataError(f"synthetic spec needs a finite, positive sample rate, got {spec.sample_rate}")
+    if not (np.isfinite(spec.segment_seconds) and spec.segment_seconds > 0):
+        raise DataError("synthetic spec needs a finite, positive segment duration, "
+                        f"got {spec.segment_seconds} s")
+    n = int(round(spec.sample_rate * spec.segment_seconds))
+    if n < len(spec.fir_taps):
+        raise DataError(f"synthetic segments of {n} samples ({spec.sample_rate:g} Hz x "
+                        f"{spec.segment_seconds:g} s) are shorter than the "
+                        f"{len(spec.fir_taps)} FIR taps")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)

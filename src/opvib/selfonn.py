@@ -13,6 +13,13 @@ tanh guarantees this), which keeps the power terms bounded.
 
 The transposed variant swaps the convolution for its adjoint, giving the
 upsampling analogue used by decoder stages.
+
+An :class:`OperationalLayer` runs as one graph node: the powers, the bias
+and the tanh are formed inside :func:`conv1d` / :func:`transposed_conv1d`.
+:func:`generative_forward` and :func:`transposed_generative_forward` compose
+the same steps as separate nodes (:func:`power_stack`, the convolution, then
+``.tanh()`` by the caller); they are the paper-form reference the layer is
+tested against, and give the same bits.
 """
 
 from __future__ import annotations
@@ -80,12 +87,6 @@ def init_generative_weights(rng, config: OperationalLayerConfig, dtype=np.float3
     return weights.astype(dtype), np.zeros(c.out_channels, dtype=dtype)
 
 
-def _power_stack(y, q):
-    if q == 1:
-        return y if isinstance(y, Tensor) else Tensor(y)
-    return power_stack(y, q)
-
-
 def to_gemm_layout(weights, transposed=False):
     """Re-lay ``(Q, out, in, K)`` kernels as the conv consumes them.
 
@@ -120,18 +121,20 @@ def generative_forward(y, weights, biases=None, stride=1, padding=0):
     """Forward pass of a generative layer (sum of Q convolutions of input powers).
 
     ``weights`` is ``(Q, out, in, K)``; channel count of ``y`` must equal ``in``.
-    This paper-form reference re-lays the kernels on every call;
-    :class:`OperationalLayer` keeps them in GEMM layout instead.
+    This paper-form reference builds separate nodes for the power stack and
+    the convolution, re-lays the kernels on every call and leaves the tanh
+    to the caller; :class:`OperationalLayer` keeps the kernels in GEMM
+    layout and runs powers, bias and tanh inside the one conv node instead.
     """
     weights = _check_paper_weights(weights)
-    stacked = _power_stack(y, weights.shape[0])
+    stacked = power_stack(y, weights.shape[0])
     return conv1d(stacked, to_gemm_layout(weights), biases, stride, padding)
 
 
 def transposed_generative_forward(y, weights, biases=None, stride=1, padding=0):
     """Transposed (upsampling) analogue: sum of Q adjoint convolutions of powers."""
     weights = _check_paper_weights(weights)
-    stacked = _power_stack(y, weights.shape[0])
+    stacked = power_stack(y, weights.shape[0])
     return transposed_conv1d(stacked, to_gemm_layout(weights, transposed=True), biases,
                              stride, padding)
 
@@ -139,6 +142,7 @@ def transposed_generative_forward(y, weights, biases=None, stride=1, padding=0):
 class OperationalLayer:
     """One operational layer: trainable generative kernels + optional tanh.
 
+    A call is one graph node, the fused conv of :mod:`opvib.tensor`.
     ``weights`` is kept in the GEMM layout of :func:`to_gemm_layout`, so the
     forward pass hands it to the conv with no re-layout; checkpoints store
     the ``(Q, out, in, K)`` form.
@@ -155,10 +159,8 @@ class OperationalLayer:
     def __call__(self, y):
         c = self.config
         conv = transposed_conv1d if c.transposed else conv1d
-        out = conv(_power_stack(y, c.q), self.weights, self.biases, c.stride, c.padding)
-        if c.activation == "tanh":
-            out = out.tanh()
-        return out
+        return conv(y, self.weights, self.biases, c.stride, c.padding, q=c.q,
+                    tanh=c.activation == "tanh")
 
     def parameters(self):
         return [self.weights, self.biases]

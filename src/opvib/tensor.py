@@ -8,9 +8,13 @@ to every parameter that participated in the forward pass.
 Convolutions are lowered to an im2col matrix product with a fixed
 reduction order (channels outer, taps inner), and a convolution's input
 gradient to one such product per stride phase, taken in phase order, so
-repeated runs are bit-identical on the same machine.  Training numerics
-default to float32; gradient verification against finite differences is
-done in float64 by the test suite.
+repeated runs are bit-identical on the same machine.  The convolutions can
+also run a whole generative layer as one node: the input powers ``x**1 ..
+x**q``, the bias and the tanh are formed inside the kernel, with the same
+operations in the same order as :func:`power_stack`, a plain convolution and
+:meth:`Tensor.tanh` composed, so the result is bit-identical to theirs.
+Training numerics default to float32; gradient verification against finite
+differences is done in float64 by the test suite.
 """
 
 from __future__ import annotations
@@ -233,7 +237,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(g):
-            self._accumulate(g * (1.0 - out_data * out_data))
+            self._accumulate(_tanh_grad(g, out_data))
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -293,6 +297,12 @@ class Tensor:
         return Tensor._result(out_data, (self,), backward)
 
 
+def _tanh_grad(g, y):
+    """Gradient through ``y = tanh(a)``: the one expression :meth:`Tensor.tanh`
+    and the fused-tanh convolutions share, so their bits cannot drift apart."""
+    return g * (1.0 - y * y)
+
+
 def _coerce(value, dtype):
     if isinstance(value, Tensor):
         return value
@@ -329,30 +339,54 @@ def concat(tensors, axis=0):
     return Tensor._result(out_data, tuple(tensors), backward)
 
 
+def _check_power(q):
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise ValueError(f"power order must be a positive integer, got {q!r}")
+    return int(q)
+
+
+def _power_blocks(buf, rows):
+    # with x in the first ``rows`` rows of ``buf``, block i becomes block i-1
+    # times block 0, so the blocks hold x**1 .. x**q, each power one multiply
+    # from the last
+    for i in range(rows, len(buf), rows):
+        np.multiply(buf[i - rows : i], buf[:rows], out=buf[i : i + rows])
+
+
+def _powers(x, q):
+    """``x**1 .. x**q`` stacked along the channel axis, ``(q*C, L)``."""
+    c = x.shape[0]
+    out = np.empty((q * c,) + x.shape[1:], dtype=x.dtype)
+    out[:c] = x
+    _power_blocks(out, c)
+    return out
+
+
+def _power_stack_grad(g, powers, c):
+    """Gradient w.r.t. ``x`` of the stack ``powers`` = ``x**1 .. x**q`` from its
+    ``(q*C, L)`` gradient ``g``; only ``x**1 .. x**(q-1)`` of ``powers`` is read."""
+    gx = g[:c].copy()
+    for i in range(1, len(g) // c):
+        # d(x^(i+1))/dx = (i+1) * x^i
+        gx += (i + 1) * g[i * c : (i + 1) * c] * powers[(i - 1) * c : i * c]
+    return gx
+
+
 def power_stack(x, q):
     """Stack ``x**1 .. x**q`` along the channel axis in one fused op.
 
     Equivalent to concatenating ``x**1 .. x**q`` but with a single node and
     one analytic backward pass.
     """
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"power order must be a positive integer, got {q!r}")
+    q = _check_power(q)
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"power_stack expects a (channels, length) map, got {x.data.shape}")
-    q = int(q)
-    c, length = x.data.shape
-    out_data = np.empty((q * c, length), dtype=x.dtype)
-    out_data[:c] = x.data
-    for i in range(1, q):
-        np.multiply(out_data[(i - 1) * c : i * c], x.data, out=out_data[i * c : (i + 1) * c])
+    c = x.data.shape[0]
+    out_data = _powers(x.data, q)
 
     def backward(g):
-        gx = g[:c].copy()
-        for i in range(1, q):
-            # d(x^(i+1))/dx = (i+1) * x^i, and x^i is already in out_data
-            gx += (i + 1) * g[i * c : (i + 1) * c] * out_data[(i - 1) * c : i * c]
-        x._accumulate(gx)
+        x._accumulate(_power_stack_grad(g, out_data, c))
 
     return Tensor._result(out_data, (x,), backward)
 
@@ -360,76 +394,105 @@ def power_stack(x, q):
 # -- convolution primitives ----------------------------------------------------
 
 
-def _check_conv_args(stride, padding):
+def _conv_operands(x, weights, bias, stride, padding, q, transposed):
+    """Checked operands as ``(x, weights, bias, q)``; ``weights`` is
+    ``(C_out, q*C_in, K)`` for :func:`conv1d` and ``(q*C_in, C_out, K)`` for
+    :func:`transposed_conv1d` (``transposed``)."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
+    q = _check_power(q)
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    weights = weights if isinstance(weights, Tensor) else Tensor(np.asarray(weights, dtype=x.dtype))
+    op = "transposed_conv1d" if transposed else "conv1d"
+    if x.data.ndim != 2:
+        raise ShapeError(f"{op} input must be (channels, length), got {x.data.shape}")
+    if weights.data.ndim != 3:
+        layout = "(in, out, taps)" if transposed else "(out, in, taps)"
+        raise ShapeError(f"{op} weights must be {layout}, got {weights.data.shape}")
+    if weights.data.shape[0 if transposed else 1] != q * x.data.shape[0]:
+        raise ShapeError(
+            f"channel mismatch: input map {x.data.shape} vs weights {weights.data.shape}"
+            + (f" at power order {q}" if q > 1 else "")
+        )
+    if bias is not None:
+        c_out = weights.data.shape[1 if transposed else 0]
+        bias = bias if isinstance(bias, Tensor) else Tensor(np.asarray(bias, dtype=x.dtype))
+        if bias.data.shape != (c_out,):
+            raise ShapeError(f"bias shape {bias.data.shape} != ({c_out},)")
+    return x, weights, bias, q
 
 
-def _im2col(xp, k, stride):
-    # xp: (C, L_padded) -> (C*K, L_out), channel-major / tap-minor rows; the
-    # reshape copies the (C, K, L_out) window view once, and ascontiguousarray
-    # copies only where K = 1 lets the reshape stay a strided view
+def _im2col(xp, k, stride, q=1, start=0, l_out=None):
+    # xp: C-contiguous (C, L_padded) -> (q*C*K, L_out), channel-major /
+    # tap-minor rows, for the windows from column ``start`` on (as many as
+    # fit, or ``l_out``); the (C, K, L_out) window view is copied once into
+    # block 0, and block i holds its (i+1)-th power: a gathered entry is a
+    # copy of one x entry (or a padding 0), so these are the columns of
+    # power_stack(x) bit for bit
     c, length = xp.shape
-    l_out = (length - k) // stride + 1
+    if l_out is None:
+        l_out = (length - start - k) // stride + 1
     row, col = xp.strides
-    win = np.lib.stride_tricks.as_strided(xp, (c, k, l_out), (row, col, col * stride),
-                                          writeable=False)
-    return np.ascontiguousarray(win.reshape(c * k, l_out))
+    # the ndarray constructor checks the view against xp's extent, as
+    # as_strided does not, and costs about 1 us a call where as_strided costs 8
+    win = np.ndarray((c, k, l_out), xp.dtype, xp, start * col, (row, col, col * stride))
+    cols = np.empty((q * c * k, l_out), dtype=xp.dtype)
+    cols[: c * k].reshape(c, k, l_out)[...] = win
+    _power_blocks(cols, c * k)
+    return cols
 
 
-def conv1d(x, weights, bias=None, stride=1, padding=0):
-    """Strided cross-correlation of a ``(C_in, L)`` map with ``(C_out, C_in, K)`` kernels.
+def conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=False):
+    """Strided cross-correlation of a ``(C_in, L)`` map with ``(C_out, q*C_in, K)`` kernels.
 
     Zero padding is applied symmetrically; output length is
     ``(L + 2*padding - K)//stride + 1``.  No kernel flip is performed.
+    With ``q > 1`` the kernels see the power stack ``x**1 .. x**q`` (channel
+    ``i*C_in + c`` carries ``x[c]**(i+1)``), formed in the im2col columns; with
+    ``tanh`` the output is ``tanh`` of the sum.  Either way the node equals
+    ``power_stack`` -> ``conv1d`` -> ``.tanh()`` bit for bit, in one node.
     """
-    _check_conv_args(stride, padding)
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    weights = weights if isinstance(weights, Tensor) else Tensor(np.asarray(weights, dtype=x.dtype))
-    if x.data.ndim != 2:
-        raise ShapeError(f"conv1d input must be (channels, length), got {x.data.shape}")
-    if weights.data.ndim != 3:
-        raise ShapeError(f"conv1d weights must be (out, in, taps), got {weights.data.shape}")
-    c_out, c_in, k = weights.data.shape
-    if x.data.shape[0] != c_in:
-        raise ShapeError(
-            f"channel mismatch: input map {x.data.shape} vs weights {weights.data.shape}"
-        )
-    length = x.data.shape[1]
+    x, weights, bias, q = _conv_operands(x, weights, bias, stride, padding, q, False)
+    c_out, qc_in, k = weights.data.shape
+    c_in, length = x.data.shape
     if k > length + 2 * padding:
         raise ShapeError(
             f"kernel taps {k} exceed padded length {length + 2 * padding} "
             f"(input {x.data.shape}, weights {weights.data.shape})"
         )
-    if bias is not None:
-        bias = bias if isinstance(bias, Tensor) else Tensor(np.asarray(bias, dtype=x.dtype))
-        if bias.data.shape != (c_out,):
-            raise ShapeError(f"bias shape {bias.data.shape} != ({c_out},)")
 
+    xd = x.data
     if padding:
         xp = np.zeros((c_in, length + 2 * padding), dtype=x.dtype)
-        xp[:, padding : padding + length] = x.data
+        xp[:, padding : padding + length] = xd
     else:
-        xp = x.data
-    cols = _im2col(xp, k, stride)
+        xp = np.ascontiguousarray(xd)
+    cols = _im2col(xp, k, stride, q)
     w = weights.data
-    out_data = w.reshape(c_out, c_in * k) @ cols
+    out_data = w.reshape(c_out, qc_in * k) @ cols
     if bias is not None:
-        out_data = out_data + bias.data[:, None]
+        out_data += bias.data[:, None]
+    if tanh:
+        np.tanh(out_data, out=out_data)
     if not weights.requires_grad:
         cols = None                            # only the weight gradient reads them
 
     parents = (x, weights) if bias is None else (x, weights, bias)
 
     def backward(g):
+        if tanh:
+            g = _tanh_grad(g, out_data)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=1))
         if weights.requires_grad:
-            weights._accumulate((g @ cols.T).reshape(c_out, c_in, k))
+            weights._accumulate((g @ cols.T).reshape(c_out, qc_in, k))
         if x.requires_grad:
-            x._accumulate(_conv1d_input_grad(g, w, stride, padding, length))
+            gx = _conv1d_input_grad(g, w, stride, padding, length)
+            if q > 1:
+                gx = _power_stack_grad(gx, _powers(xd, q), c_in)
+            x._accumulate(gx)
 
     return Tensor._result(out_data, parents, backward)
 
@@ -458,7 +521,7 @@ def _conv1d_input_grad(g, w, stride, padding, length):
         if hi <= lo:
             continue
         start = taps - m_t + lo
-        cols = _im2col(gpad[:, start : start + hi - lo + m_t - 1], m_t, 1)
+        cols = _im2col(gpad, m_t, 1, start=start, l_out=hi - lo)
         # the flipped sub-kernel gathered as (C_out*M_t, C_in) rows (o, v):
         # this order copies faster than (C_in, C_out*M_t), and matmul takes
         # its transposed view without a second copy
@@ -468,25 +531,17 @@ def _conv1d_input_grad(g, w, stride, padding, length):
     return gx
 
 
-def transposed_conv1d(x, weights, bias=None, stride=1, padding=0):
+def transposed_conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=False):
     """Adjoint of :func:`conv1d` with the same stride/padding.
 
-    ``weights`` has shape ``(C_in, C_out, K)``; output length is
-    ``(L - 1)*stride + K - 2*padding``.
+    ``weights`` has shape ``(q*C_in, C_out, K)``; output length is
+    ``(L - 1)*stride + K - 2*padding``.  ``q`` and ``tanh`` act as in
+    :func:`conv1d`: the powers are stacked in a buffer the node keeps for
+    its backward, and the tanh runs in place on the biased output.
     """
-    _check_conv_args(stride, padding)
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    weights = weights if isinstance(weights, Tensor) else Tensor(np.asarray(weights, dtype=x.dtype))
-    if x.data.ndim != 2:
-        raise ShapeError(f"transposed_conv1d input must be (channels, length), got {x.data.shape}")
-    if weights.data.ndim != 3:
-        raise ShapeError(f"transposed_conv1d weights must be (in, out, taps), got {weights.data.shape}")
-    c_in, c_out, k = weights.data.shape
-    if x.data.shape[0] != c_in:
-        raise ShapeError(
-            f"channel mismatch: input map {x.data.shape} vs weights {weights.data.shape}"
-        )
-    length = x.data.shape[1]
+    x, weights, bias, q = _conv_operands(x, weights, bias, stride, padding, q, True)
+    qc_in, c_out, k = weights.data.shape
+    c_in, length = x.data.shape
     l_full = (length - 1) * stride + k
     l_out = l_full - 2 * padding
     if l_out < 1:
@@ -494,13 +549,10 @@ def transposed_conv1d(x, weights, bias=None, stride=1, padding=0):
             f"non-positive output length {l_out} for input {x.data.shape}, "
             f"taps {k}, stride {stride}, padding {padding}"
         )
-    if bias is not None:
-        bias = bias if isinstance(bias, Tensor) else Tensor(np.asarray(bias, dtype=x.dtype))
-        if bias.data.shape != (c_out,):
-            raise ShapeError(f"bias shape {bias.data.shape} != ({c_out},)")
 
-    w2 = weights.data.reshape(c_in, c_out * k)
-    cols = (w2.T @ x.data).reshape(c_out, k, length)
+    xs = _powers(x.data, q) if q > 1 else x.data
+    w2 = weights.data.reshape(qc_in, c_out * k)
+    cols = (w2.T @ xs).reshape(c_out, k, length)
     full = np.zeros((c_out, l_full), dtype=x.dtype)
     span = stride * (length - 1) + 1
     for r in range(k):
@@ -508,19 +560,26 @@ def transposed_conv1d(x, weights, bias=None, stride=1, padding=0):
     out_data = full[:, padding : l_full - padding]
     if bias is not None:
         out_data = out_data + bias.data[:, None]
+    if tanh:
+        np.tanh(out_data, out=out_data)
 
     parents = (x, weights) if bias is None else (x, weights, bias)
 
     def backward(g):
+        if tanh:
+            g = _tanh_grad(g, out_data)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=1))
         gfull = np.zeros((c_out, l_full), dtype=g.dtype)
         gfull[:, padding : l_full - padding] = g
         gcols_m = _im2col(gfull, k, stride)
         if weights.requires_grad:
-            weights._accumulate((x.data @ gcols_m.T).reshape(c_in, c_out, k))
+            weights._accumulate((xs @ gcols_m.T).reshape(qc_in, c_out, k))
         if x.requires_grad:
-            x._accumulate(w2 @ gcols_m)
+            gx = w2 @ gcols_m
+            if q > 1:
+                gx = _power_stack_grad(gx, xs, c_in)
+            x._accumulate(gx)
 
     return Tensor._result(out_data, parents, backward)
 

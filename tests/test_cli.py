@@ -85,6 +85,16 @@ def test_gen_synthetic_negative_count_exit_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("rate", ["3", "0.4"])
+def test_gen_synthetic_segments_shorter_than_fir_taps_exit_1(tmp_path, capsys, rate):
+    # these printed numpy's "operands could not be broadcast" and "a cannot
+    # be empty" and left an empty output directory behind
+    out = tmp_path / "d"
+    assert run(["gen-synthetic", "--sample-rate", rate, "--out", str(out)]) == 1
+    assert "shorter than the 5 FIR taps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--train-seconds", "inf"), ("--val-seconds", "nan"),
                                         ("--train-seconds", "-3"), ("--val-seconds", "-2")])
 def test_bad_split_seconds_exit_1(dataset, tmp_path, capsys, flag, value):

@@ -261,3 +261,26 @@ def test_bad_sample_rate_is_error(tmp_path, rate):
     with pytest.raises(DataError, match="sample rate"):
         generate_synthetic(SyntheticSpec(sample_rate=rate), tmp_path / "d")
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("rate,seconds", [(3.0, 1.0), (0.4, 1.0), (4096.0, 0.0005)])
+def test_segments_shorter_than_the_fir_taps_are_an_error(tmp_path, rate, seconds):
+    # 3 samples died in numpy ("operands could not be broadcast"), 0 in
+    # np.convolve ("a cannot be empty"), both after the directory was made
+    spec = SyntheticSpec(sample_rate=rate, segment_seconds=seconds)
+    with pytest.raises(DataError, match="FIR taps"):
+        generate_synthetic(spec, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_segment_duration_is_error(tmp_path, seconds):
+    with pytest.raises(DataError, match="segment duration"):
+        generate_synthetic(SyntheticSpec(segment_seconds=seconds), tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+
+
+def test_segments_as_long_as_the_fir_taps_are_written(tmp_path):
+    spec = SyntheticSpec(num_healthy=1, num_faulty=1, sample_rate=5.0)
+    manifest = generate_synthetic(spec, tmp_path / "d")
+    assert [load_recording(e.sound_path).samples.size for e in manifest.entries] == [5, 5]

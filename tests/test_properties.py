@@ -15,7 +15,7 @@ from opvib.models import CheckpointError, FaultClassifier, OpUNet, load_checkpoi
 from opvib.selfonn import OperationalLayer, OperationalLayerConfig
 from opvib.signal import Signal
 from opvib.dataio import AudioFormatError
-from opvib.tensor import ShapeError, Tensor, conv1d, frames1d
+from opvib.tensor import ShapeError, Tensor, conv1d, frames1d, power_stack, transposed_conv1d
 from util import checkpoint_parts, conv1d_input_grad_loop, frames1d_backward_loop, with_descriptor
 
 
@@ -66,6 +66,44 @@ def test_conv1d_input_grad_matches_per_tap_scatter(in_ch, out_ch, length, kernel
     for j in range(out.shape[1]):
         covered[j * stride : j * stride + kernel] = True
     assert not x.grad[:, ~covered[padding : padding + length]].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c_in=st.integers(1, 3), c_out=st.integers(1, 3), kernel=st.integers(1, 9),
+    stride=st.integers(1, 4), padding=st.integers(0, 4), q=st.integers(1, 4),
+    length=st.integers(1, 30), tanh=st.booleans(), with_bias=st.booleans(),
+    transposed=st.booleans(), seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_conv_equals_power_stack_conv_tanh(c_in, c_out, kernel, stride, padding, q,
+                                                 length, tanh, with_bias, transposed, seed):
+    # one fused node against the composition it replaces, forward and every
+    # gradient bit for bit, in the float32 the models train in
+    if transposed:
+        assume((length - 1) * stride + kernel - 2 * padding >= 1)
+    else:
+        assume(kernel <= length + 2 * padding)
+    rng = np.random.default_rng(seed)
+    conv = transposed_conv1d if transposed else conv1d
+    x_data = rng.uniform(-1, 1, (c_in, length)).astype(np.float32)
+    w_shape = (q * c_in, c_out, kernel) if transposed else (c_out, q * c_in, kernel)
+    w_data = rng.uniform(-1, 1, w_shape).astype(np.float32)
+    b_data = rng.standard_normal(c_out).astype(np.float32)
+
+    def run(fused):
+        x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=True)
+        b = Tensor(b_data, requires_grad=True) if with_bias else None
+        if fused:
+            out = conv(x, w, b, stride, padding, q=q, tanh=tanh)
+        else:
+            out = conv(power_stack(x, q), w, b, stride, padding)
+            out = out.tanh() if tanh else out
+        out.backward(np.random.default_rng(seed + 1).standard_normal(out.shape).astype(np.float32))
+        return [out.data, x.grad, w.grad] + ([b.grad] if with_bias else [])
+
+    for fused, unfused in zip(run(True), run(False)):
+        assert fused.dtype == unfused.dtype == np.float32
+        assert np.array_equal(fused, unfused)
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,7 +10,7 @@ from opvib.selfonn import (
     to_paper_layout,
     transposed_generative_forward,
 )
-from opvib.tensor import ShapeError, Tensor, conv1d, transposed_conv1d
+from opvib.tensor import ShapeError, Tensor, conv1d, no_grad, transposed_conv1d
 from util import fd_gradcheck
 
 
@@ -124,14 +124,24 @@ def test_layers_equal_the_paper_form_reference():
 
 
 def test_layer_weights_feed_the_conv_directly():
-    # no re-layout node between the trainable kernels and the conv
-    for transposed in (False, True):
+    # no re-layout node between the trainable kernels and the conv, and no
+    # power-stack or pre-activation node either: powers, bias and tanh run
+    # inside the one conv node, which leaves its input alone
+    for transposed, activation in ((False, "none"), (True, "none"), (False, "tanh"),
+                                   (True, "tanh")):
         cfg = OperationalLayerConfig(2, 3, kernel=4, q=2, stride=2, padding=1,
-                                     transposed=transposed, activation="none")
+                                     transposed=transposed, activation=activation)
         layer = OperationalLayer(cfg, np.random.default_rng(14))
-        out = layer(Tensor(np.random.default_rng(15).uniform(-1, 1, (2, 16)).astype(np.float32)))
-        assert any(parent is layer.weights for parent in out._parents)
+        data = np.random.default_rng(15).uniform(-1, 1, (2, 16)).astype(np.float32)
+        x = Tensor(data.copy(), requires_grad=True)
+        out = layer(x)
+        assert len(out._parents) == 3
+        assert all(a is b for a, b in zip(out._parents, (x, layer.weights, layer.biases)))
         assert layer.weights.shape == ((4, 3, 4) if transposed else (3, 4, 4))
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        assert np.array_equal(x.data, data)
+        with no_grad():
+            assert layer(x)._parents == ()
 
 
 def test_tanh_layer_output_bounded_by_unit_interval():

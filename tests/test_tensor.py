@@ -159,6 +159,11 @@ def test_gradients_match_finite_differences_per_op():
     m = Tensor(rng.standard_normal((15, 4)))
     row = Tensor(rng.standard_normal(15))
     col = Tensor(rng.standard_normal((3, 1)))
+    # q=3 kernels for the fused convs (powers, bias and tanh in one node), from
+    # their own generator so the other cases check the points they did
+    rng3 = np.random.default_rng(8)
+    w3 = Tensor(0.5 * rng3.standard_normal((4, 9, 5)), requires_grad=True, dtype=np.float64)
+    wt3 = Tensor(0.5 * rng3.standard_normal((9, 4, 4)), requires_grad=True, dtype=np.float64)
     cases = {
         "conv": (lambda: conv1d(x, w, b, stride=2, padding=2).tanh().mean(), [x, w, b]),
         "tconv": (lambda: transposed_conv1d(
@@ -175,10 +180,25 @@ def test_gradients_match_finite_differences_per_op():
         "transpose": (lambda: w.transpose(2, 0, 1).tanh().mean(), [w]),
         "mul_broadcast": (lambda: (x * row).mean(), [x]),
         "add_broadcast": (lambda: (x + col).tanh().mean(), [x]),
+        "conv_fused": (lambda: conv1d(x * 0.3, w3, b, 2, 2, q=3, tanh=True).mean(), [x, w3, b]),
+        "tconv_fused": (lambda: transposed_conv1d(x * 0.3, wt3, b, 2, 1, q=3, tanh=True).mean(),
+                        [x, wt3, b]),
     }
     for name, (make, params) in cases.items():
         err = fd_gradcheck(make, params, rng, n_points=25)
         assert err < 1e-4, f"{name}: fd mismatch {err}"
+
+
+def test_fused_convs_check_power_order_and_channels():
+    x = np.zeros((2, 10), dtype=np.float32)
+    for conv, w in ((conv1d, np.zeros((3, 6, 3), np.float32)),
+                    (transposed_conv1d, np.zeros((6, 3, 3), np.float32))):
+        assert conv(x, w, q=3).shape[0] == 3
+        with pytest.raises(ShapeError, match="power order 2"):
+            conv(x, w, q=2)
+        for bad in (0, 1.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                conv(x, w, q=bad)
 
 
 def test_random_graph_gradcheck():

@@ -12,7 +12,9 @@ import pytest
 from opvib import optim, training
 from opvib.dataio import SyntheticSpec, generate_synthetic, load_segment_pairs
 from opvib.models import ConfigError, FaultClassifier, OpUNet, parameter_count
+from opvib.selfonn import OperationalLayer
 from opvib.signal import SegmentPair
+from opvib.tensor import conv1d, power_stack, transposed_conv1d
 from opvib.training import (
     DataSplit,
     TrainConfig,
@@ -268,6 +270,32 @@ def test_training_equals_joined_graph(trained_detector, monkeypatch, mode, freez
         assert history == ref
         for a, b in zip(_weights(model) + _weights(det), _weights(ref_model) + _weights(ref_det)):
             assert np.array_equal(a, b)
+
+
+def test_fused_layers_train_as_the_unfused_composition(trained_detector, monkeypatch):
+    # every operational layer is one fused conv node; composing it again as
+    # power_stack -> conv -> tanh nodes, in both models, gives the same bits
+    calls = []
+
+    def unfused(layer, y):
+        calls.append(layer)
+        c = layer.config
+        conv = transposed_conv1d if c.transposed else conv1d
+        out = conv(power_stack(y, c.q), layer.weights, layer.biases, c.stride, c.padding)
+        return out.tanh() if c.activation == "tanh" else out
+
+    detector, split = trained_detector
+    cfg = TrainConfig(seed=18, max_iterations=3, val_interval=2, l_seg=int(RATE),
+                      freeze_detector=False)
+    runs = []
+    for call in (OperationalLayer.__call__, unfused):
+        monkeypatch.setattr(OperationalLayer, "__call__", call)
+        det = copy.deepcopy(detector)
+        model, history = train_transformer(split.train, split.val, cfg, det)
+        runs.append((history, _weights(model) + _weights(det)))
+    assert calls
+    assert runs[1][0] == runs[0][0]
+    assert all(np.array_equal(a, b) for a, b in zip(runs[1][1], runs[0][1]))
 
 
 @pytest.mark.parametrize("failure", ["raises", "dies"])
