@@ -2,16 +2,6 @@
 with 1D operational (generative-neuron) networks, built on a small
 numpy autodiff core."""
 
-import os as _os
-import sys as _sys
-
-# BLAS reads its thread-count variables once, when numpy loads it, so only
-# their values from before that tell how many threads BLAS runs; None when
-# numpy was imported first and those values are unknown
-_PIN_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_BLAS_ENV_AT_LOAD = (None if "numpy" in _sys.modules
-                     else {name: _os.environ.get(name) for name in _PIN_VARS})
-
 __version__ = "0.1.0"
 
 from .tensor import (

@@ -10,26 +10,22 @@ flags override the config file, which overrides built-in defaults; the
 fully resolved configuration is echoed before the command runs.  Exit
 codes: 0 success, 1 runtime failure, 2 invalid flags or config keys.
 
-``--reproducible`` pins the BLAS to one thread, through threadpoolctl when
-it is installed and otherwise through the thread-count environment
-variables, which count only when they read 1 before numpy loaded; the
-echoed configuration names the method (``pinning=``).  When neither can
-take effect the command exits 2 rather than run unpinned.
+``--reproducible`` holds numpy's BLAS at one thread for the whole command,
+through the BLAS's own thread setter (``training.one_blas_thread``), and
+restores the count after.  When that setter is not found or does not take,
+the command exits 2 rather than run unpinned.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import _PIN_VARS
 from .dataio import DataError, SyntheticSpec, generate_synthetic, load_recording, load_segment_pairs, write_wav
 from .evaluation import benchmark_inference, compute_metrics, real_time_factor
 from .models import (
@@ -44,8 +40,8 @@ from .models import (
 from .signal import Signal
 from .training import (
     TrainConfig,
-    blas_single_threaded,
     classify_pairs,
+    one_blas_thread,
     split_dataset,
     train_fault_detector,
     train_transformer,
@@ -202,11 +198,10 @@ def _parse(parser, argv):
     return args, {dest: getattr(args, dest) for dest in actions}
 
 
-def _echo(opts, reproducible, pinning):
+def _echo(opts, reproducible):
     keys = sorted(opts)
     rendered = " ".join(f"{k}={opts[k]}" for k in keys)
-    suffix = f" pinning={pinning}" if pinning else ""
-    print(f"config: {rendered} reproducible={reproducible}{suffix}")
+    print(f"config: {rendered} reproducible={reproducible}")
 
 
 def _default_held_out(pairs, value):
@@ -374,30 +369,6 @@ _COMMANDS = {
 }
 
 
-# Set on the re-executed process so that entry() re-executes at most once.
-_REEXEC_GUARD = "OPVIB_PIN_REEXEC"
-
-
-def _pinning_method():
-    """How BLAS can be held to one thread in this process, or None."""
-    if importlib.util.find_spec("threadpoolctl") is not None:
-        return "threadpoolctl"
-    if blas_single_threaded():
-        return "env"
-    return None
-
-
-@contextlib.contextmanager
-def _thread_limits(pinning):
-    if pinning != "threadpoolctl":
-        yield
-        return
-    from threadpoolctl import threadpool_limits
-
-    with threadpool_limits(limits=1):
-        yield
-
-
 def main(argv=None):
     parser = _build_parser()
     args, opts = _parse(parser, argv)
@@ -409,40 +380,25 @@ def main(argv=None):
         if opts[name] is None:
             parser.error(f"--{name.replace('_', '-')} is required")
 
-    pinning = _pinning_method() if args.reproducible else None
-    if args.reproducible and pinning is None:
-        parser.error("--reproducible cannot pin BLAS to one thread: threadpoolctl is not "
-                     f"installed and {', '.join(_PIN_VARS)} did not all read 1 when numpy "
-                     "loaded; run through the opvib command or `python -m opvib`, or set "
-                     "them before starting")
-    _echo(opts, args.reproducible, pinning)
-    try:
-        with _thread_limits(pinning):
+    pin = one_blas_thread() if args.reproducible else contextlib.nullcontext(True)
+    with pin as pinned:
+        if not pinned:
+            parser.error("--reproducible cannot pin BLAS to one thread: numpy's BLAS has no "
+                         "thread setter opvib knows (OpenBLAS, MKL), or setting it did not take")
+        _echo(opts, args.reproducible)
+        try:
             handler(opts)
-    except argparse.ArgumentError as exc:
-        parser.error(str(exc))
-    except (DataError, CheckpointError, ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        except argparse.ArgumentError as exc:
+            parser.error(str(exc))
+        except (DataError, CheckpointError, ConfigError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 
 def entry():
-    """Console entry point.
-
-    Without threadpoolctl, ``--reproducible`` pins BLAS through ``_PIN_VARS``.
-    numpy has already loaded its BLAS by now, so the process re-executes
-    itself once with them set.
-    """
-    argv = sys.argv[1:]
-    if (_build_parser().parse_args(argv).reproducible and _pinning_method() is None
-            and _REEXEC_GUARD not in os.environ):
-        env = dict(os.environ, **dict.fromkeys(_PIN_VARS, "1"), **{_REEXEC_GUARD: "1"})
-        try:
-            os.execve(sys.executable, [sys.executable, "-m", "opvib", *argv], env)
-        except OSError as exc:
-            print(f"error: cannot re-execute with BLAS pinned: {exc}", file=sys.stderr)
-    sys.exit(main(argv))
+    """Console entry point."""
+    sys.exit(main(sys.argv[1:]))
 
 
 if __name__ == "__main__":

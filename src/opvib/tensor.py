@@ -326,15 +326,16 @@ def concat(tensors, axis=0):
     """Concatenate tensors along ``axis`` (channel stacking in practice)."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        idx = [slice(None)] * g.ndim
+        lo = 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
+            lo = hi
 
     return Tensor._result(out_data, tuple(tensors), backward)
 

@@ -15,12 +15,15 @@ arena, and the slots are summed in sample order before one Adam
 update; validation values are summed in sample order too.  The calling
 process is worker 0 and forked children take the rest of each batch, so
 the result is the same for any worker count.  Children are forked only
-when BLAS is verified single-threaded (see ``_worker_count``).
+when numpy's BLAS can be held at one thread, which it then is for the
+whole call (``one_blas_thread``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import mmap
 import multiprocessing
 import os
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _BLAS_ENV_AT_LOAD
 from .evaluation import compute_metrics
 from .losses import loss_class, loss_magnitude, loss_time, loss_total, stft_magnitude
 from .models import CLASS_TARGETS, ConfigError, FaultClassifier, OpUNet, predict_label
@@ -39,7 +41,7 @@ from .tensor import no_grad
 
 __all__ = [
     "WorkerError",
-    "blas_single_threaded",
+    "one_blas_thread",
     "TrainConfig",
     "DataSplit",
     "split_dataset",
@@ -57,16 +59,6 @@ _MAX_DEFAULT_WORKERS = 2
 
 class WorkerError(RuntimeError):
     """A forked training worker raised or died; the message carries its error."""
-
-
-def blas_single_threaded():
-    """True when BLAS is verified to run one thread in this process.
-
-    That is so when ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-    ``MKL_NUM_THREADS`` all read 1 before numpy loaded its BLAS; a value set
-    after that has no effect on BLAS and does not count.
-    """
-    return _BLAS_ENV_AT_LOAD is not None and all(v == "1" for v in _BLAS_ENV_AT_LOAD.values())
 
 
 def _can_fork():
@@ -175,17 +167,74 @@ def _require_finite(where, values):
             raise ValueError(f"{where}: {name} is not finite ({value}); training stopped")
 
 
+# BLAS thread-count (getter, setter) names; numpy's own wheels export the first
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """The ``(get, set)`` thread-count functions of numpy's BLAS, or None.
+    ``dlsym`` on numpy's ``_multiarray_umath`` extension also searches the BLAS it links."""
+    try:
+        from numpy._core import _multiarray_umath as ext
+    except ImportError:                         # numpy 1.x
+        from numpy.core import _multiarray_umath as ext
+    lib = ctypes.CDLL(ext.__file__)
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's BLAS at one thread; yields whether the count then reads 1,
+    False also for a BLAS without a known setter.  The caller's count is
+    restored on exit, also on an exception."""
+    threads = _blas_threads()
+    if threads is None:
+        yield False
+        return
+    get, put = threads
+    saved = get()
+    try:
+        put(1)
+        yield get() == 1
+    finally:
+        put(saved)
+
+
 def _worker_count(cfg):
     """Processes that share each batch and validation pass, the caller included.
 
-    ``min(2, usable CPUs, batch_size)`` when BLAS is verified
-    single-threaded and the platform can fork, else 1.  The training result
-    does not depend on it.
+    ``min(2, usable CPUs, batch_size)`` when the platform can fork and BLAS
+    can be held to one thread, else 1: two processes that each run a
+    multithreaded BLAS only fight over the cores.  At a given BLAS thread
+    count the training result does not depend on it.
     """
-    if not (blas_single_threaded() and _can_fork()):
-        # with multithreaded BLAS, two processes only fight over the cores
-        return 1
-    return min(_MAX_DEFAULT_WORKERS, _usable_cpus(), cfg.batch_size)
+    count = min(_MAX_DEFAULT_WORKERS, _usable_cpus(), cfg.batch_size) if _can_fork() else 1
+    if count > 1:
+        with one_blas_thread() as pinned:      # a probe; the count is restored at once
+            if not pinned:
+                return 1
+    return count
+
+
+@contextlib.contextmanager
+def _pinned_workers(cfg):
+    """Yields the worker count; with 2 or more, BLAS runs one thread until
+    exit, so the children fork with one and the whole call computes on it."""
+    count = _worker_count(cfg)
+    with one_blas_thread() if count > 1 else contextlib.nullcontext():
+        yield count
 
 
 def _shared(shape, dtype):
@@ -379,14 +428,14 @@ class _SampleParallel:
     ``i``.  Both run on whichever worker holds the item.
     """
 
-    def __init__(self, params, cfg, sample_loss, evaluate, grad_dtype):
+    def __init__(self, params, cfg, workers, sample_loss, evaluate, grad_dtype):
         self.sample_loss = sample_loss
         self.arena = _Arena(params, cfg.batch_size, grad_dtype)
         # one Adam array per parameter, as a flat update over a whole row
         # gives the same bits but allocates row-sized temporaries each step
         self.opt = Adam(params, lr=cfg.learning_rate)
         try:
-            self.workers = _Workers(_worker_count(cfg), {
+            self.workers = _Workers(workers, {
                 "train": self._backward,
                 "eval": lambda items: [evaluate(i) for i in items],
             })
@@ -459,7 +508,8 @@ def train_fault_detector(train, val, cfg: TrainConfig, log=None):
             return loss_class(CLASS_TARGETS[pair.label], scores).item(), predict_label(scores) == pair.label
 
     grad_dtype = np.result_type(np.float32, model.dtype)
-    with _SampleParallel(params, cfg, sample_loss, evaluate, grad_dtype) as engine:
+    with _pinned_workers(cfg) as workers, \
+            _SampleParallel(params, cfg, workers, sample_loss, evaluate, grad_dtype) as engine:
         for epoch in range(cfg.classifier_epochs):
             train_mse = 0.0
             for batch in _batches(len(train), cfg.batch_size, rng):
@@ -512,9 +562,6 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
 
     rng = np.random.default_rng(cfg.seed)
     val_pairs = val if val else train
-    # computed before the workers fork, so they inherit them
-    train_fixed = _pair_constants(train, detector, cfg)
-    val_fixed = _pair_constants(val_pairs, detector, cfg)
 
     def sample_loss(i):
         sample = _sample_losses(model, detector, train[i], train_fixed[i], cfg)
@@ -531,32 +578,36 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
     best = None
     val_total = float("nan")
     it = 0
-    with _frozen(det_params, cfg.freeze_detector), \
-            _SampleParallel(trained, cfg, sample_loss, evaluate, grad_dtype) as engine:
-        while it < cfg.max_iterations:
-            for batch in _batches(len(train), cfg.batch_size, rng):
-                if it >= cfg.max_iterations:
-                    break
-                items = engine.step(batch)
-                it += 1
+    with _pinned_workers(cfg) as workers, _frozen(det_params, cfg.freeze_detector):
+        # computed before the workers fork, so they inherit them, and on the
+        # BLAS thread count the steps use
+        train_fixed = _pair_constants(train, detector, cfg)
+        val_fixed = _pair_constants(val_pairs, detector, cfg)
+        with _SampleParallel(trained, cfg, workers, sample_loss, evaluate, grad_dtype) as engine:
+            while it < cfg.max_iterations:
+                for batch in _batches(len(train), cfg.batch_size, rng):
+                    if it >= cfg.max_iterations:
+                        break
+                    items = engine.step(batch)
+                    it += 1
 
-                time_l1, stft_l1, class_mse = (sum(col) / len(items) for col in zip(*items))
-                _require_finite(f"iteration {it}", {"time": time_l1, "stft": stft_l1,
-                                                    "class": class_mse})
-                total = loss_total(time_l1, stft_l1, class_mse, cfg.lam)
-                if it == 1 or it % cfg.val_interval == 0 or it == cfg.max_iterations:
-                    val_total = 0.0
-                    for value in engine.evaluate(len(val_pairs)):
-                        val_total += value
-                    val_total /= len(val_pairs)
-                    _require_finite(f"iteration {it}", {"val_total": val_total})
-                    if best is None or val_total < best[0]:
-                        best = (val_total, [t.data.copy() for t in params])
-                history.append({"iter": it, "time": time_l1, "stft": stft_l1,
-                                "class": class_mse, "total": total, "val_total": val_total})
-                if log:
-                    log(f"iter={it} time={time_l1:.6f} stft={stft_l1:.6f} "
-                        f"class={class_mse:.6f} total={total:.6f} val_total={val_total:.6f}")
+                    time_l1, stft_l1, class_mse = (sum(col) / len(items) for col in zip(*items))
+                    _require_finite(f"iteration {it}", {"time": time_l1, "stft": stft_l1,
+                                                        "class": class_mse})
+                    total = loss_total(time_l1, stft_l1, class_mse, cfg.lam)
+                    if it == 1 or it % cfg.val_interval == 0 or it == cfg.max_iterations:
+                        val_total = 0.0
+                        for value in engine.evaluate(len(val_pairs)):
+                            val_total += value
+                        val_total /= len(val_pairs)
+                        _require_finite(f"iteration {it}", {"val_total": val_total})
+                        if best is None or val_total < best[0]:
+                            best = (val_total, [t.data.copy() for t in params])
+                    history.append({"iter": it, "time": time_l1, "stft": stft_l1,
+                                    "class": class_mse, "total": total, "val_total": val_total})
+                    if log:
+                        log(f"iter={it} time={time_l1:.6f} stft={stft_l1:.6f} "
+                            f"class={class_mse:.6f} total={total:.6f} val_total={val_total:.6f}")
 
     if best is not None:
         for t, data in zip(params, best[1]):

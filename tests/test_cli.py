@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import subprocess
 import sys
@@ -6,10 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from opvib import cli
+from opvib import cli, training
 from opvib.dataio import load_recording, write_wav
 from opvib.signal import Signal
-from util import opvib_subprocess_env
+from util import THREAD_VARS, fake_blas_threads, opvib_subprocess_env
 
 RATE = 256  # small segments keep CLI round trips fast
 
@@ -274,55 +273,52 @@ def test_resolved_config_is_echoed(dataset, capsys):
     assert out.startswith("config:")
 
 
-def test_reproducible_echo_names_pinning_method(tmp_path):
+@pytest.mark.skipif(training._blas_threads() is None,
+                    reason="numpy's BLAS has no thread setter opvib knows")
+def test_reproducible_pins_blas_in_process_and_restores_it(tmp_path):
+    # started with no thread variable set: the command itself holds BLAS at
+    # one thread while it runs, and hands the caller's count back after
     env = opvib_subprocess_env()
-    for name in cli._PIN_VARS + (cli._REEXEC_GUARD,):
+    for name in THREAD_VARS:
         env.pop(name, None)
-    proc = subprocess.run([sys.executable, "-m", "opvib"] + GEN
+    script = ("import sys\n"
+              "from opvib import cli, training\n"
+              "get, _ = training._blas_threads()\n"
+              "handler, required = cli._COMMANDS['gen-synthetic']\n"
+              "def spy(opts):\n"
+              "    print('during', get())\n"
+              "    handler(opts)\n"
+              "cli._COMMANDS['gen-synthetic'] = (spy, required)\n"
+              "before = get()\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print('threads', before, get())\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script] + GEN
                           + ["--healthy", "1", "--faulty", "1", "--out", "d", "--reproducible"],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr + proc.stdout
-    config = proc.stdout.splitlines()[0]
-    assert config.startswith("config:")
-    assert config.endswith(("reproducible=True pinning=threadpoolctl",
-                            "reproducible=True pinning=env"))
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("config:") and lines[0].endswith(" reproducible=True")
+    assert lines[1] == "during 1"
+    _, before, after = lines[-1].split()
+    assert before == after
 
 
 def test_reproducible_without_a_pinning_method_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_pinning_method", lambda: None)
+    monkeypatch.setattr(training, "_blas_threads", lambda: None)
     assert run(GEN + ["--healthy", "1", "--faulty", "1", "--out", str(tmp_path),
                       "--reproducible"]) == 2
     assert "cannot pin BLAS" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.skipif(importlib.util.find_spec("threadpoolctl") is not None,
-                    reason="threadpoolctl pins BLAS whatever the environment says")
-def test_reproducible_refuses_thread_variables_set_after_numpy_loaded(tmp_path):
-    # OpenBLAS has read its variables by the time they are set here, so
-    # they pin nothing; --reproducible must refuse rather than claim env pinning
-    env = opvib_subprocess_env()
-    for name in cli._PIN_VARS:
-        env.pop(name, None)
-    argv = GEN + ["--healthy", "1", "--faulty", "1", "--out", "d", "--reproducible"]
-
-    def run_script(first_import):
-        script = (f"import os, sys\n{first_import}\n"
-                  f"os.environ.update(dict.fromkeys({cli._PIN_VARS!r}, '1'))\n"
-                  "from opvib import cli, training\n"
-                  "print(training.blas_single_threaded())\n"
-                  "sys.exit(cli.main(sys.argv[1:]))\n")
-        return subprocess.run([sys.executable, "-c", script] + argv, cwd=tmp_path, env=env,
-                              capture_output=True, text=True)
-
-    late = run_script("import numpy")
-    assert late.returncode == 2, late.stderr + late.stdout
-    assert late.stdout.splitlines()[0] == "False"
-    assert "did not all read 1 when numpy loaded" in late.stderr
-    assert not (tmp_path / "d").exists()
-
-    # set before opvib, and so before numpy, loads: BLAS is pinned
-    early = run_script("")
-    assert early.returncode == 0, early.stderr + early.stdout
-    assert early.stdout.splitlines()[0] == "True"
-    assert early.stdout.splitlines()[1].endswith("reproducible=True pinning=env")
+def test_reproducible_refuses_a_blas_pin_that_does_not_take(tmp_path, monkeypatch, capsys):
+    # a setter that is found but leaves the count at 2 must not pass for a pin
+    get, put = fake_blas_threads(takes=False)
+    monkeypatch.setattr(training, "_blas_threads", lambda: (get, put))
+    assert run(GEN + ["--healthy", "1", "--faulty", "1", "--out", str(tmp_path),
+                      "--reproducible"]) == 2
+    assert "cannot pin BLAS" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert get() == 2
+    assert training._worker_count(training.TrainConfig()) == 1

@@ -1,9 +1,12 @@
 import contextlib
 import copy
+import json
 import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -24,7 +27,7 @@ from opvib.training import (
     train_fault_detector,
     train_transformer,
 )
-from util import joined_graph_training
+from util import THREAD_VARS, fake_blas_threads, joined_graph_training, opvib_subprocess_env
 
 # small-rate datasets keep the training tests fast; the stride chain and the
 # U-Net both accept 256-sample segments
@@ -422,25 +425,105 @@ def test_detector_of_another_dtype_trains_as_with_per_array_adam(trained_detecto
 
 
 def test_default_worker_count_needs_verified_blas_pinning(monkeypatch):
-    pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-    monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", pinned)
+    get, put = fake_blas_threads(takes=True)
+    monkeypatch.setattr(training, "_blas_threads", lambda: (get, put))
     assert training._worker_count(TrainConfig()) == min(2, training._usable_cpus())
     assert training._worker_count(TrainConfig(batch_size=1)) == 1
-    monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", dict(pinned, OMP_NUM_THREADS="2"))
+    assert get() == 2                           # the probe restores the count
+    # a setter that does not take, and no setter at all
+    monkeypatch.setattr(training, "_blas_threads", lambda: fake_blas_threads(takes=False))
     assert training._worker_count(TrainConfig()) == 1
-    monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", None)   # numpy loaded first
+    monkeypatch.setattr(training, "_blas_threads", lambda: None)
     assert training._worker_count(TrainConfig()) == 1
 
 
 def test_default_worker_count_without_fork_or_affinity(monkeypatch):
-    pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-    monkeypatch.setattr(training, "_BLAS_ENV_AT_LOAD", pinned)
+    monkeypatch.setattr(training, "_blas_threads", lambda: fake_blas_threads(takes=True))
     # macOS can fork but has no sched_getaffinity
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert training._worker_count(TrainConfig()) == 2
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert training._worker_count(TrainConfig()) == 1
+
+
+@pytest.mark.skipif(training._blas_threads() is None,
+                    reason="numpy's BLAS has no thread setter opvib knows")
+def test_blas_thread_count_is_restored_after_a_raising_call(small_dataset, monkeypatch):
+    get, put = training._blas_threads()
+    saved = get()
+    _use_workers(monkeypatch, 2)
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(opt):                              # how perfbench ends a run
+        seen.append(get())
+        raise Stop
+
+    split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
+    cfg = TrainConfig(seed=15, classifier_epochs=3, l_seg=int(RATE))
+    put(2)
+    try:
+        monkeypatch.setattr(optim.Adam, "step", stop)
+        with pytest.raises(Stop):
+            train_fault_detector(split.train, split.val, cfg)
+        assert seen == [1]                      # pinned while the workers ran
+        assert get() == 2
+        assert multiprocessing.active_children() == []
+    finally:
+        put(saved)
+
+
+@pytest.mark.skipif(training._usable_cpus() < 2 or not training._can_fork()
+                    or training._blas_threads() is None,
+                    reason="needs 2 CPUs, fork and a BLAS thread setter")
+def test_two_workers_without_thread_variables_match_one(tmp_path):
+    # a process started with no thread variable set, as library calls are
+    env = opvib_subprocess_env()
+    for name in THREAD_VARS:
+        env.pop(name, None)
+    script = f"""
+import json, sys
+import numpy as np
+from opvib import training
+from opvib.dataio import SyntheticSpec, generate_synthetic, load_segment_pairs
+from opvib.models import FaultClassifier
+
+spec = SyntheticSpec(seed=31, num_healthy=12, num_faulty=12, sample_rate={RATE},
+                     base_freqs=(24.0, 52.0), fault_freq=64.0, fault_repeat_hz=8.0)
+pairs = load_segment_pairs(generate_synthetic(spec, sys.argv[1]))
+split = training.split_dataset(pairs, 1010.0, train_seconds=12, val_seconds=4)
+cfg = training.TrainConfig(seed=14, max_iterations=3, val_interval=2, l_seg={int(RATE)})
+counts = []
+
+class Spy(training._Workers):
+    def __init__(self, count, tasks):
+        counts.append(count)
+        super().__init__(count, tasks)
+
+training._Workers = Spy
+get, _ = training._blas_threads()
+before = get()
+runs = []
+for forced in (None, 1):
+    if forced:
+        training._worker_count = lambda cfg: forced
+    detector = FaultClassifier(l_seg={int(RATE)}, seed=2)
+    model, history = training.train_transformer(split.train, split.val, cfg, detector)
+    runs.append((history, [t.data for _, t in model.parameters()]))
+print(json.dumps({{"counts": counts, "threads": [before, get()],
+                  "history": runs[0][0] == runs[1][0],
+                  "weights": all(np.array_equal(a, b) for a, b in zip(runs[0][1], runs[1][1]))}}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["counts"] == [2, 1]
+    assert result["threads"][0] == result["threads"][1]
+    assert result["history"] and result["weights"]
 
 
 def test_transformer_freezes_detector(small_dataset, trained_detector):

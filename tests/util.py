@@ -25,6 +25,22 @@ def opvib_subprocess_env():
     return env
 
 
+# the variables that set BLAS's thread count when numpy loads it
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fake_blas_threads(takes):
+    """A ``(get, set)`` thread-count pair standing in for a BLAS's own, at 2
+    threads; with ``takes`` False, set is ignored and the count stays 2."""
+    count = [2]
+
+    def put(n):
+        if takes:
+            count[0] = n
+
+    return (lambda: count[0]), put
+
+
 def fd_gradcheck(make_loss, params, rng, eps=1e-5, n_points=40):
     """Worst relative error between analytic grads and central differences.
 
