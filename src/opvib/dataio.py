@@ -10,6 +10,15 @@ with ``#`` and blank lines are ignored.  Supported recordings are mono WAV
 (PCM16 or IEEE float32) and single-column CSV with a
 ``sample_rate_hz=<value>`` header line.
 
+WAV files are read and written here with ``struct`` and numpy.  The reader
+takes little-endian RIFF WAVE: a ``fmt `` chunk with format tag 1 (PCM,
+2-byte blocks of 9-16 bits) or 3 (IEEE float, 4-byte blocks of 32 bits),
+directly or as the subformat of ``WAVE_FORMAT_EXTENSIBLE``, and then one
+``data`` chunk; other chunks and the pad byte after an odd-sized chunk are
+skipped, and bytes too few to form a chunk header are ignored.  The writer
+emits what scipy's ``wavfile.write`` emits for mono float32: an 18-byte
+``fmt `` chunk, ``fact``, ``data``.
+
 The synthetic generator produces deterministic paired recordings: each
 sound segment is a mixture of fixed-frequency sinusoids with per-segment
 random amplitudes/phases plus Gaussian noise; the vibration is a fixed FIR
@@ -30,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .signal import DegenerateSegmentWarning, SegmentPair, Signal, normalize_segment, segment_signal
 
@@ -81,35 +89,53 @@ def load_recording(path):
         raise AudioFormatError(f"{path}: {exc}") from exc
 
 
-# what scipy's WAV reader raises on malformed headers besides ValueError:
-# each one was seen on truncated or bit-flipped files
-_WAV_PARSE_ERRORS = (ValueError, struct.error, TypeError, ZeroDivisionError,
-                     UnboundLocalError)
+_CHUNK_HEADER = struct.Struct("<4sI")
+_FMT = struct.Struct("<HHIIHH")  # tag, channels, rate, bytes/s, block align, bits/sample
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# WAVE_FORMAT_EXTENSIBLE names its format by a GUID {tag-0000-0010-8000-00AA00389B71}
+# at byte 24 of the fmt chunk
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 def _read_wav(path):
-    try:
-        with warnings.catch_warnings():
-            # scipy only warns, and returns what it read, when the data
-            # chunk is cut short
-            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
-            rate, data = wavfile.read(str(path))
-    except wavfile.WavFileWarning as exc:
-        raise AudioFormatError(f"{path}: truncated WAV ({exc})") from exc
-    except _WAV_PARSE_ERRORS as exc:
-        raise AudioFormatError(f"{path}: unreadable WAV ({exc!r})") from exc
-    if data.ndim != 1:
-        raise AudioFormatError(
-            f"{path}: mono required, file has {data.shape[1]} channels"
-        )
-    if data.dtype == np.int16:
-        samples = data.astype(np.float32) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data
+    blob = memoryview(path.read_bytes())
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise AudioFormatError(f"{path}: unreadable WAV (header {bytes(blob[:12])!r} is not "
+                               "little-endian RIFF WAVE)")
+    fmt = data = None
+    pos = 12
+    while pos + 8 <= len(blob):
+        chunk_id, size = _CHUNK_HEADER.unpack_from(blob, pos)
+        body = blob[pos + 8 : pos + 8 + size]
+        if chunk_id == b"data":
+            if data is not None:
+                raise AudioFormatError(f"{path}: unreadable WAV (more than one data chunk)")
+            if len(body) < size:
+                raise AudioFormatError(f"{path}: truncated WAV (data chunk holds {len(body)} "
+                                       f"of {size} bytes)")
+            data = body
+        elif chunk_id == b"fmt " and data is None:
+            fmt = body
+        pos += 8 + size + size % 2  # an odd-sized chunk is followed by a pad byte
+    if fmt is None or data is None or len(fmt) < _FMT.size:
+        raise AudioFormatError(f"{path}: unreadable WAV (needs a fmt chunk of at least "
+                               f"{_FMT.size} bytes before a data chunk)")
+    tag, channels, rate, _, block_align, bits = _FMT.unpack_from(fmt)
+    if tag == _EXTENSIBLE and fmt[28:40] == _GUID_TAIL:
+        tag = struct.unpack_from("<I", fmt, 24)[0]
+    if channels != 1:
+        raise AudioFormatError(f"{path}: mono required, file has {channels} channels")
+    # PCM16 blocks may carry fewer valid bits (12-bit audio); 8 bits or fewer
+    # would be unsigned
+    if tag == _PCM and block_align == 2 and 8 < bits <= 16:
+        samples = np.frombuffer(data, "<i2", len(data) // 2).astype(np.float32) / 32768.0
+    elif tag == _IEEE_FLOAT and block_align == 4 and bits == 32:
+        samples = np.frombuffer(data, "<f4", len(data) // 4).astype(np.float32)
     else:
-        raise AudioFormatError(
-            f"{path}: unsupported sample encoding {data.dtype}; expected PCM16 or IEEE float32"
-        )
+        kind = {_PCM: "uint" if bits <= 8 else "int", _IEEE_FLOAT: "float"}.get(tag)
+        name = f"{kind}{bits}" if kind else f"format tag {tag:#06x}"
+        raise AudioFormatError(f"{path}: unsupported sample encoding {name} in "
+                               f"{block_align}-byte blocks; expected PCM16 or IEEE float32")
     return samples, float(rate)
 
 
@@ -150,10 +176,18 @@ def _read_csv(path):
 
 
 def write_wav(path, signal: Signal):
-    """Write a Signal as a mono IEEE float32 WAV."""
-    wavfile.write(str(path), int(round(signal.sample_rate_hz)),
-                  np.ascontiguousarray(signal.samples, dtype="<f4"))
-    return Path(path)
+    """Write a Signal as a mono IEEE float32 WAV: an 18-byte ``fmt `` chunk, ``fact``, ``data``."""
+    samples = np.ascontiguousarray(signal.samples, dtype="<f4")
+    rate = int(round(signal.sample_rate_hz))
+    chunks = (_CHUNK_HEADER.pack(b"fmt ", 18)
+              + _FMT.pack(_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32) + b"\x00\x00"  # cbSize 0
+              + _CHUNK_HEADER.pack(b"fact", 4) + struct.pack("<I", samples.size)
+              + _CHUNK_HEADER.pack(b"data", samples.nbytes))
+    path = Path(path)
+    with path.open("wb") as fh:
+        fh.write(_CHUNK_HEADER.pack(b"RIFF", 4 + len(chunks) + samples.nbytes) + b"WAVE" + chunks)
+        fh.write(samples.data)
+    return path
 
 
 @dataclass

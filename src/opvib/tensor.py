@@ -554,13 +554,23 @@ def transposed_conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=Fals
     xs = _powers(x.data, q) if q > 1 else x.data
     w2 = weights.data.reshape(qc_in, c_out * k)
     cols = (w2.T @ xs).reshape(c_out, k, length)
-    full = np.zeros((c_out, l_full), dtype=x.dtype)
-    span = stride * (length - 1) + 1
-    for r in range(k):
-        full[:, r : r + span : stride] += cols[:, r, :]
+    # tap r adds cols[:, r] to stride phase t = r % stride of ``full``, from
+    # phase entry r // stride on; per phase the first tap is assigned, the
+    # tail it leaves zeroed and the later taps added in ascending order: the
+    # sums of one += per tap into zeros, but for the sign of a -0 first term
+    full = np.empty((c_out, l_full), dtype=x.dtype)
+    for t in range(stride):
+        phase = full[:, t::stride]
+        if t >= k:
+            phase[...] = 0
+            continue
+        phase[:, :length] = cols[:, t]
+        phase[:, length:] = 0
+        for j, r in enumerate(range(t + stride, k, stride), start=1):
+            phase[:, j : j + length] += cols[:, r]
     out_data = full[:, padding : l_full - padding]
     if bias is not None:
-        out_data = out_data + bias.data[:, None]
+        out_data += bias.data[:, None]
     if tanh:
         np.tanh(out_data, out=out_data)
 

@@ -267,6 +267,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, line):
     assert not captured.out and not out.exists()
 
 
+def test_cli_import_loads_no_scipy():
+    # importing scipy.io took 60% of a start-up; WAV I/O needs only numpy
+    proc = subprocess.run([sys.executable, "-c", "import sys, opvib.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          env=opvib_subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_resolved_config_is_echoed(dataset, capsys):
     run(["evaluate", "--detector", "missing.opvb", "--manifest", str(dataset / "manifest.tsv")])
     out = capsys.readouterr().out

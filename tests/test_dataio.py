@@ -1,5 +1,9 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+# scipy is a test-only oracle: opvib reads and writes WAV without it
 from scipy.io import wavfile
 
 from opvib.dataio import (
@@ -30,6 +34,102 @@ def test_pcm16_scaling(tmp_path):
     wavfile.write(path, 8000, np.array([16384, -32768, 0], dtype=np.int16))
     sig = load_recording(path)
     assert np.allclose(sig.samples, [0.5, -1.0, 0.0])
+
+
+def _chunks(blob):
+    """The ``(id, body)`` chunks of a RIFF WAVE file."""
+    pos, chunks = 12, []
+    while pos < len(blob):
+        chunk_id, size = struct.unpack_from("<4sI", blob, pos)
+        chunks.append((chunk_id, blob[pos + 8 : pos + 8 + size]))
+        pos += 8 + size + size % 2
+    return chunks
+
+
+def _riff(chunks):
+    body = b"".join(chunk_id + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+                    for chunk_id, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def _extensible(fmt):
+    """``fmt`` as WAVE_FORMAT_EXTENSIBLE: its tag moves into the subformat
+    GUID, with all bits valid and channel mask "front centre"."""
+    tag, bits = struct.unpack_from("<H", fmt)[0], struct.unpack_from("<H", fmt, 14)[0]
+    return (struct.pack("<H", 0xFFFE) + fmt[2:16] + struct.pack("<HHII", 22, bits, 4, tag)
+            + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71")
+
+
+def _list_before_data(chunks):
+    at = [i for i, _ in chunks].index(b"data")
+    return chunks[:at] + [(b"LIST", b"INFOx")] + chunks[at:]  # odd size: a pad byte follows
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+@pytest.mark.parametrize("variant", [
+    lambda blob: blob,
+    lambda blob: _riff([(i, _extensible(d) if i == b"fmt " else d) for i, d in _chunks(blob)]),
+    lambda blob: _riff(_list_before_data(_chunks(blob))),
+    lambda blob: blob + b"\x01trailing bytes",
+    lambda blob: _riff(_chunks(blob) + [(b"LIST", b"INFO")]),
+], ids=["plain", "extensible", "odd_list_before_data", "trailing_bytes", "list_after_data"])
+def test_wav_reads_as_scipy_does(tmp_path, dtype, variant):
+    rng = np.random.default_rng(4)
+    samples = rng.uniform(-1, 1, 257)
+    if dtype is np.int16:
+        samples = samples * 32767
+    path = tmp_path / "x.wav"
+    wavfile.write(path, 22050, samples.astype(dtype))
+    path.write_bytes(variant(path.read_bytes()))
+    rate, expected = wavfile.read(path)
+    if dtype is np.int16:
+        expected = expected.astype(np.float32) / 32768.0
+    sig = load_recording(path)
+    assert sig.sample_rate_hz == float(rate) == 22050.0
+    assert sig.samples.dtype == np.float32 and np.array_equal(sig.samples, expected)
+
+
+def _pcm16_with_bits(path, samples, bits):
+    wavfile.write(path, 8000, np.asarray(samples, dtype=np.int16))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<H", blob, 34, bits)
+    path.write_bytes(blob)
+
+
+def test_pcm16_blocks_with_fewer_valid_bits_read_as_scipy_does(tmp_path):
+    # 12-bit audio sits left-justified in 2-byte blocks
+    _pcm16_with_bits(tmp_path / "x.wav", [16, -32768, 32752], 12)
+    expected = wavfile.read(tmp_path / "x.wav")[1] / np.float32(32768)
+    assert np.array_equal(load_recording(tmp_path / "x.wav").samples, expected)
+
+
+@pytest.mark.parametrize("bits,name", [(8, "uint8"), (24, "int24")])
+def test_pcm_bits_that_do_not_fit_2_byte_blocks_are_refused(tmp_path, bits, name):
+    _pcm16_with_bits(tmp_path / "x.wav", np.zeros(4), bits)
+    with pytest.raises(AudioFormatError, match=f"{name} in 2-byte blocks"):
+        load_recording(tmp_path / "x.wav")
+
+
+@pytest.mark.parametrize("magic", [b"RF64", b"RIFX"])
+def test_rf64_and_big_endian_wav_are_refused(tmp_path, magic):
+    path = write_wav(tmp_path / "x.wav", Signal(np.zeros(8, dtype=np.float32), 4096.0))
+    path.write_bytes(magic + path.read_bytes()[4:])
+    with pytest.raises(AudioFormatError, match="unreadable WAV"):
+        load_recording(path)
+
+
+def test_second_data_chunk_is_refused(tmp_path):
+    path = write_wav(tmp_path / "x.wav", Signal(np.zeros(8, dtype=np.float32), 4096.0))
+    path.write_bytes(_riff(_chunks(path.read_bytes()) + [(b"data", b"\0" * 16)]))
+    with pytest.raises(AudioFormatError, match="more than one data chunk"):
+        load_recording(path)
+
+
+def test_write_wav_matches_scipy_bytes(tmp_path):
+    samples = np.random.default_rng(5).uniform(-1, 1, 99).astype(np.float32)
+    write_wav(tmp_path / "ours.wav", Signal(samples, 4096.0))
+    wavfile.write(tmp_path / "scipy.wav", 4096, samples)
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
 
 def test_stereo_wav_rejected(tmp_path):
@@ -207,6 +307,17 @@ def test_synthetic_generation_is_byte_deterministic(tmp_path):
     for e1, e2 in zip(m1.entries, m2.entries):
         assert e1.sound_path.read_bytes() == e2.sound_path.read_bytes()
         assert e1.vibration_path.read_bytes() == e2.vibration_path.read_bytes()
+
+
+def test_synthetic_files_match_their_golden_hash(tmp_path):
+    # recorded when scipy.io.wavfile wrote the WAVs: every file name and its
+    # bytes, in name order
+    manifest = generate_synthetic(SyntheticSpec(seed=11, num_healthy=2, num_faulty=1), tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(manifest.path.parent.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == "eb28522c9f3c4a566c1f2753685f7ffcb9a514fc89ed4bca0086055c5eaa2f9e"
 
 
 def test_synthetic_labels_interleave_and_speeds_cycle(tmp_path):

@@ -232,8 +232,8 @@ def test_garbage_csv_raises_only_data_errors(data_dir, data):
     _load_raises_only(DataError, load_recording, data_dir / "garbage.csv", blob)
 
 
-# scipy warns about some malformed chunks that it skips
-@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+# the reader never warns: a warning fails the test
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=250, deadline=None)
 @given(source=st.sampled_from(["f32.wav", "pcm16.wav"]), data=st.data())
 def test_garbage_wav_raises_only_data_errors(data_dir, source, data):

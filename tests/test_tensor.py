@@ -215,13 +215,16 @@ def test_random_graph_gradcheck():
     assert fd_gradcheck(loss, [x, w1, w2], rng, n_points=30) < 1e-4
 
 
-@pytest.mark.parametrize("c_in,c_out,length,k,stride,padding", [
+TCONV_SHAPES = ("c_in,c_out,length,k,stride,padding", [
     (128, 64, 128, 4, 2, 1),   # the U-Net decoder's first stage
     (32, 1, 2048, 4, 2, 1),    # and its last
     (3, 2, 7, 5, 3, 0),
     (2, 3, 5, 1, 4, 0),        # K < stride: gaps between taps
     (1, 2, 1, 6, 2, 2),
 ])
+
+
+@pytest.mark.parametrize(*TCONV_SHAPES)
 def test_transposed_conv_grads_equal_per_tap_gather(c_in, c_out, length, k, stride, padding):
     # the backward gathers gfull[:, r::stride] rows; taking them tap by tap
     # must give bit-identical weight and input gradients
@@ -237,6 +240,23 @@ def test_transposed_conv_grads_equal_per_tap_gather(c_in, c_out, length, k, stri
     rows = tap_gather_loop(gfull, k, stride, length)
     assert np.array_equal(w.grad, (x.data @ rows.T).reshape(c_in, c_out, k))
     assert np.array_equal(x.grad, w.data.reshape(c_in, c_out * k) @ rows)
+
+
+@pytest.mark.parametrize(*TCONV_SHAPES)
+def test_transposed_conv_output_equals_per_tap_scatter(c_in, c_out, length, k, stride, padding):
+    # one += per tap into zeros, then the bias, gives the same bits as the
+    # kernel's per-phase assign-then-add
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((c_in, length)).astype(np.float32)
+    w = rng.standard_normal((c_in, c_out, k)).astype(np.float32)
+    b = rng.standard_normal(c_out).astype(np.float32)
+    cols = (w.reshape(c_in, c_out * k).T @ x).reshape(c_out, k, length)
+    l_full = (length - 1) * stride + k
+    full = np.zeros((c_out, l_full), dtype=np.float32)
+    for r in range(k):
+        full[:, r : r + stride * (length - 1) + 1 : stride] += cols[:, r]
+    out = transposed_conv1d(x, w, b, stride, padding).data
+    assert np.array_equal(out, full[:, padding : l_full - padding] + b[:, None])
 
 
 def test_frozen_conv_weights_keep_no_columns_for_backward():
