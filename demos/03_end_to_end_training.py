@@ -30,8 +30,7 @@ with tempfile.TemporaryDirectory() as workdir:
     split = split_dataset(pairs, held_out_speed=1010.0, train_seconds=70, val_seconds=10)
     print(f"{len(split.train)} train / {len(split.val)} val / {len(split.test)} test segments")
 
-    cfg = TrainConfig(seed=42, l_seg=1024, classifier_epochs=50,
-                      max_iterations=1200, val_interval=100)
+    cfg = TrainConfig(seed=42, classifier_epochs=50, max_iterations=1200, val_interval=100)
     detector, det_hist = train_fault_detector(split.train, split.val, cfg)
     print(f"detector: val accuracy {det_hist[-1]['val_accuracy']:.1f}% "
           f"after {len(det_hist)} epochs")

@@ -39,6 +39,8 @@ from .models import (
 )
 from .signal import Signal
 from .training import (
+    TRAIN_SECONDS,
+    VAL_SECONDS,
     TrainConfig,
     classify_pairs,
     one_blas_thread,
@@ -72,9 +74,9 @@ def _build_parser():
     split.add_argument("--manifest", help="dataset manifest (required)")
     split.add_argument("--held-out-speed", type=float,
                        help="speed spared for testing (default: highest speed present)")
-    split.add_argument("--train-seconds", type=float, default=_TRAIN.train_seconds,
+    split.add_argument("--train-seconds", type=float, default=TRAIN_SECONDS,
                        help="seconds of data for training (default: %(default)s)")
-    split.add_argument("--val-seconds", type=float, default=_TRAIN.val_seconds,
+    split.add_argument("--val-seconds", type=float, default=VAL_SECONDS,
                        help="seconds of data for validation (default: %(default)s)")
 
     fit = argparse.ArgumentParser(add_help=False)
@@ -107,7 +109,6 @@ def _build_parser():
     p.add_argument("--out", help="checkpoint output path (required)")
     p.add_argument("--epochs", type=int, default=_TRAIN.classifier_epochs,
                    help="training epochs (default: %(default)s)")
-    p.add_argument("--l-seg", type=int, help="segment length in samples (default: inferred from data)")
 
     p = command("train-transformer", "train the cascaded sound-to-vibration transformer", split, fit)
     p.add_argument("--detector", help="pre-trained detector checkpoint (required)")
@@ -118,12 +119,6 @@ def _build_parser():
                    help="weight on time+spectral terms (default: %(default)s)")
     p.add_argument("--val-interval", type=int, default=_TRAIN.val_interval,
                    help="iterations between validation passes (default: %(default)s)")
-    p.add_argument("--class-loss", choices=("paired", "target"), default=_TRAIN.class_loss_mode,
-                   help="class term compares detector scores on real vs synthesized "
-                        "('paired') or synthesized vs label target ('target') "
-                        "(default: %(default)s)")
-    p.add_argument("--joint", action="store_true", default=not _TRAIN.freeze_detector,
-                   help="also update the detector (ablation; default: frozen)")
 
     p = command("synthesize", "transform a sound recording into a vibration recording")
     p.add_argument("--model", help="transformer checkpoint (required)")
@@ -236,18 +231,14 @@ def _cmd_gen_synthetic(opts):
 def _cmd_train_detector(opts):
     pairs = load_segment_pairs(opts["manifest"])
     held_out = _default_held_out(pairs, opts["held_out_speed"])
-    l_seg = pairs[0].sound.size if opts["l_seg"] is None else opts["l_seg"]
-    if l_seg != pairs[0].sound.size:
-        raise DataError(f"--l-seg {l_seg} does not match the data's {pairs[0].sound.size}")
     split = split_dataset(pairs, held_out, opts["train_seconds"], opts["val_seconds"])
     cfg = TrainConfig(batch_size=opts["batch_size"], classifier_epochs=opts["epochs"],
-                      learning_rate=opts["lr"], seed=opts["seed"], l_seg=l_seg,
-                      train_seconds=opts["train_seconds"], val_seconds=opts["val_seconds"])
+                      learning_rate=opts["lr"], seed=opts["seed"])
     model, history = train_fault_detector(split.train, split.val, cfg, log=print)
     best = min(history, key=lambda h: h["val_mse"])
     save_checkpoint(model, opts["out"], meta={
         "seed": opts["seed"], "epoch": best["epoch"], "val_mse": best["val_mse"],
-        "held_out_speed": held_out, "l_seg": l_seg,
+        "held_out_speed": held_out, "l_seg": model.l_seg,
         "sample_rate_hz": pairs[0].sample_rate_hz,
     })
     print(f"best epoch {best['epoch']}: val_mse={best['val_mse']:.6f} "
@@ -259,17 +250,10 @@ def _cmd_train_transformer(opts):
     detector, det_meta = _load_kind(opts["detector"], FaultClassifier)
     pairs = load_segment_pairs(opts["manifest"])
     held_out = _default_held_out(pairs, opts["held_out_speed"])
-    if detector.l_seg != pairs[0].sound.size:
-        raise DataError(
-            f"detector expects {detector.l_seg}-sample segments but the dataset "
-            f"provides {pairs[0].sound.size}-sample segments"
-        )
     split = split_dataset(pairs, held_out, opts["train_seconds"], opts["val_seconds"])
     cfg = TrainConfig(batch_size=opts["batch_size"], max_iterations=opts["iters"],
                       learning_rate=opts["lr"], lam=opts["lam"], seed=opts["seed"],
-                      l_seg=detector.l_seg, val_interval=opts["val_interval"],
-                      train_seconds=opts["train_seconds"], val_seconds=opts["val_seconds"],
-                      freeze_detector=not opts["joint"], class_loss_mode=opts["class_loss"])
+                      val_interval=opts["val_interval"])
     model, history = train_transformer(split.train, split.val, cfg, detector, log=print)
     print(model.describe())
     best = min(history, key=lambda h: h["val_total"])

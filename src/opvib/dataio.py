@@ -80,8 +80,8 @@ def load_recording(path):
     :class:`AudioFormatError`.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
+    if not _is_file(path):
+        raise DataError(f"{path}: no such file, or not a regular file")
     samples, rate = _read_csv(path) if path.suffix.lower() == ".csv" else _read_wav(path)
     try:
         return Signal(samples, rate)
@@ -177,6 +177,11 @@ def _read_csv(path):
 
 def write_wav(path, signal: Signal):
     """Write a Signal as a mono IEEE float32 WAV: an 18-byte ``fmt `` chunk, ``fact``, ``data``."""
+    # the RIFF size field counts "WAVE", the 46 bytes of the chunks below up
+    # to the samples, and the samples
+    if 4 + 46 + 4 * signal.samples.size > 0xFFFFFFFF:
+        raise DataError(f"{signal.samples.size} float32 samples pass the 4 GiB limit of a "
+                        f"RIFF WAV's 32-bit size fields")
     samples = np.ascontiguousarray(signal.samples, dtype="<f4")
     rate = int(round(signal.sample_rate_hz))
     chunks = (_CHUNK_HEADER.pack(b"fmt ", 18)

@@ -5,7 +5,7 @@ objective against tanh-range targets.  The transformer is then trained with
 the detector cascaded behind it and frozen: each batch minimizes
 ``class_mse + lam * (time_l1 + stft_l1)`` where the class term compares the
 frozen detector's scores for the real and the synthesized vibration.  The
-real vibration's spectrogram, and a frozen detector's scores for it, are
+real vibration's spectrogram, and the detector's scores for it, are
 computed once per pair and call.  The weights with the best validation
 total are returned; writing them to a checkpoint is the caller's job.
 
@@ -14,9 +14,9 @@ with the seed ``1/n``, its gradient lands in its own slot of one shared
 arena, and the slots are summed in sample order before one Adam
 update; validation values are summed in sample order too.  The calling
 process is worker 0 and forked children take the rest of each batch, so
-the result is the same for any worker count.  Children are forked only
-when numpy's BLAS can be held at one thread, which it then is for the
-whole call (``one_blas_thread``).
+the result is the same for any worker count.  numpy's BLAS is held at
+one thread for the whole call where it can be (``one_blas_thread``), and
+children are forked only then.
 """
 
 from __future__ import annotations
@@ -72,6 +72,11 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+# seconds of data that split_dataset gives to training and then to validation
+TRAIN_SECONDS = 2100.0
+VAL_SECONDS = 800.0
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 8
@@ -80,23 +85,16 @@ class TrainConfig:
     learning_rate: float = 1e-4
     lam: float = 100.0
     seed: int = 0
-    l_seg: int = 4096
-    train_seconds: float = 2100.0
-    val_seconds: float = 800.0
     val_interval: int = 25
-    freeze_detector: bool = True
-    class_loss_mode: str = "paired"   # or "target": score vs the label's tanh target
 
     def __post_init__(self):
-        for name in ("batch_size", "max_iterations", "classifier_epochs", "l_seg", "val_interval"):
+        for name in ("batch_size", "max_iterations", "classifier_epochs", "val_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
-        if self.class_loss_mode not in ("paired", "target"):
-            raise ValueError(f"class_loss_mode must be 'paired' or 'target', got {self.class_loss_mode!r}")
 
 
 @dataclass
@@ -121,7 +119,7 @@ class DataSplit:
                 raise ValueError("test split contains a non-held-out-speed segment")
 
 
-def split_dataset(records, held_out_speed, train_seconds=2100.0, val_seconds=800.0,
+def split_dataset(records, held_out_speed, train_seconds=TRAIN_SECONDS, val_seconds=VAL_SECONDS,
                   seg_seconds=1.0):
     """Chronological split with one speed setting spared for testing.
 
@@ -212,29 +210,26 @@ def one_blas_thread():
         put(saved)
 
 
-def _worker_count(cfg):
+def _worker_count(cfg, pinned):
     """Processes that share each batch and validation pass, the caller included.
 
-    ``min(2, usable CPUs, batch_size)`` when the platform can fork and BLAS
-    can be held to one thread, else 1: two processes that each run a
-    multithreaded BLAS only fight over the cores.  At a given BLAS thread
-    count the training result does not depend on it.
+    ``min(2, usable CPUs, batch_size)`` when BLAS is held at one thread
+    (``pinned``) and the platform can fork, else 1: two processes that each
+    run a multithreaded BLAS only fight over the cores.  At a given BLAS
+    thread count the training result does not depend on it.
     """
-    count = min(_MAX_DEFAULT_WORKERS, _usable_cpus(), cfg.batch_size) if _can_fork() else 1
-    if count > 1:
-        with one_blas_thread() as pinned:      # a probe; the count is restored at once
-            if not pinned:
-                return 1
-    return count
+    if not (pinned and _can_fork()):
+        return 1
+    return min(_MAX_DEFAULT_WORKERS, _usable_cpus(), cfg.batch_size)
 
 
 @contextlib.contextmanager
 def _pinned_workers(cfg):
-    """Yields the worker count; with 2 or more, BLAS runs one thread until
-    exit, so the children fork with one and the whole call computes on it."""
-    count = _worker_count(cfg)
-    with one_blas_thread() if count > 1 else contextlib.nullcontext():
-        yield count
+    """Holds BLAS at one thread until exit where it can, and yields the
+    worker count; so the children fork with one thread, and the whole call
+    computes on one whatever the count."""
+    with one_blas_thread() as pinned:
+        yield _worker_count(cfg, pinned)
 
 
 def _shared(shape, dtype):
@@ -248,50 +243,48 @@ def _shared(shape, dtype):
 class _Arena:
     """The trained parameters and their per-sample gradients in shared memory.
 
-    The parameters of each dtype form one flat row, with one gradient row
-    per batch position in ``grad_dtype``, the dtype their backward passes
-    produce.  The parameters are rebound as views into their row, so forked
-    workers read every update.  ``release`` rebinds them to private copies.
+    The parameters form one flat row, with one gradient row per batch
+    position in ``grad_dtype``, the dtype their backward passes produce.
+    The parameters are rebound as views into their row, so forked workers
+    read every update.  ``release`` rebinds them to private copies.
     """
 
     def __init__(self, params, slots, grad_dtype):
+        dtypes = {t.dtype for t in params}
+        if len(dtypes) != 1:
+            raise ConfigError(f"trained parameters of several dtypes: {sorted(map(str, dtypes))}")
         self.params = params
-        self.grads = []
-        self.spans = []                 # (gradient rows, span) per parameter
-        for dtype in dict.fromkeys(t.dtype for t in params):
-            group = [t for t in params if t.dtype == dtype]
-            flat = _shared(sum(t.data.size for t in group), dtype)
-            grads = _shared((slots, flat.size), grad_dtype)
-            start = 0
-            for t in group:
-                view = flat[start : start + t.data.size].reshape(t.data.shape)
-                view[...] = t.data
-                t.data = view
-                self.spans.append((grads, slice(start, start + view.size)))
-                start += view.size
-            self.grads.append(grads)
+        flat = _shared(sum(t.data.size for t in params), dtypes.pop())
+        self.grads = _shared((slots, flat.size), grad_dtype)
+        self.spans = []
+        start = 0
+        for t in params:
+            view = flat[start : start + t.data.size].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            self.spans.append(slice(start, start + view.size))
+            start += view.size
         # a gradient left over from before the call must not join the first sample's
         self.drop_grads()
 
     def store_grads(self, pos):
         """Move each parameter's gradient into row ``pos`` (0 where none)."""
-        for t, (grads, span) in zip(self.params, self.spans):
+        for t, span in zip(self.params, self.spans):
             if t.grad is None:
-                grads[pos, span] = 0
-            elif t.grad.dtype != grads.dtype:
-                raise ConfigError(f"a {t.grad.dtype} gradient reached a {grads.dtype} arena")
+                self.grads[pos, span] = 0
+            elif t.grad.dtype != self.grads.dtype:
+                raise ConfigError(f"a {t.grad.dtype} gradient reached a {self.grads.dtype} arena")
             else:
-                grads[pos, span] = t.grad.reshape(-1)
+                self.grads[pos, span] = t.grad.reshape(-1)
             t.grad = None
 
     def sum_grads(self, n):
         """``((g0 + g1) + g2) + ...`` over the first ``n`` rows, handed to
         each parameter as its ``grad``."""
-        for grads in self.grads:
-            for row in grads[1:n]:
-                np.add(grads[0], row, out=grads[0])
-        for t, (grads, span) in zip(self.params, self.spans):
-            t.grad = grads[0, span].reshape(t.data.shape)
+        for row in self.grads[1:n]:
+            np.add(self.grads[0], row, out=self.grads[0])
+        for t, span in zip(self.params, self.spans):
+            t.grad = self.grads[0, span].reshape(t.data.shape)
 
     def drop_grads(self):
         for t in self.params:
@@ -481,15 +474,19 @@ class _SampleParallel:
 def train_fault_detector(train, val, cfg: TrainConfig, log=None):
     """Pre-train the classifier on labeled vibration segments.
 
-    Returns ``(model, history)`` where the model carries the epoch weights
-    with the lowest validation MSE and history holds one entry per epoch.
+    The segment length is the pairs'.  Returns ``(model, history)`` where
+    the model carries the epoch weights with the lowest validation MSE and
+    history holds one entry per epoch.
     """
     labels = {p.label for p in train}
     if len(labels) < 2:
         raise ValueError(
             f"detector training needs both classes, got only {sorted(labels)}"
         )
-    model = FaultClassifier(l_seg=cfg.l_seg, seed=cfg.seed)
+    lengths = {p.vibration.size for p in [*train, *val]}
+    if len(lengths) > 1:
+        raise ValueError(f"training and validation segments differ in length: {sorted(lengths)}")
+    model = FaultClassifier(l_seg=lengths.pop(), seed=cfg.seed)
     params = [t for _, t in model.parameters()]
     rng = np.random.default_rng(cfg.seed)
     val_pairs = val if val else train
@@ -542,34 +539,31 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
                       log=None, model=None):
     """Cascaded training of the sound-to-vibration transformer.
 
-    The detector is applied to both the real and the synthesized vibration;
-    only the transformer's parameters are updated (the detector stays
-    frozen unless ``cfg.freeze_detector`` is False).  Returns
-    ``(model, history)`` with the best-validation-total weights restored.
+    The frozen detector scores both the real and the synthesized vibration;
+    only the transformer's parameters are updated.  The segment length is
+    the detector's, and a ``model`` or pairs of another length are a
+    :class:`ConfigError`.  Returns ``(model, history)`` with the
+    best-validation-total weights restored.
     """
-    if detector.l_seg != cfg.l_seg:
-        raise ConfigError(
-            f"detector expects segments of {detector.l_seg} samples, config says {cfg.l_seg}"
-        )
     if model is None:
-        model = OpUNet(l_seg=cfg.l_seg, seed=cfg.seed)
-    elif model.l_seg != cfg.l_seg:
-        raise ConfigError(f"model l_seg {model.l_seg} != config l_seg {cfg.l_seg}")
+        model = OpUNet(l_seg=detector.l_seg, seed=cfg.seed)
+    lengths = {model.l_seg} | {p.sound.size for p in [*train, *val]}
+    if lengths != {detector.l_seg}:
+        raise ConfigError(f"the detector expects {detector.l_seg}-sample segments; "
+                          f"the model and pairs have {sorted(lengths)}")
 
     params = [t for _, t in model.parameters()]
-    det_params = [t for _, t in detector.parameters()]
-    trained = params if cfg.freeze_detector else params + det_params
 
     rng = np.random.default_rng(cfg.seed)
     val_pairs = val if val else train
 
     def sample_loss(i):
-        sample = _sample_losses(model, detector, train[i], train_fixed[i], cfg)
+        sample = _sample_losses(model, detector, train[i], train_fixed[i])
         return loss_total(*sample, cfg.lam), [t.item() for t in sample]
 
     def evaluate(i):
         with no_grad():
-            sample = _sample_losses(model, detector, val_pairs[i], val_fixed[i], cfg)
+            sample = _sample_losses(model, detector, val_pairs[i], val_fixed[i])
             return loss_total(*(t.item() for t in sample), cfg.lam)
 
     # the float32 segments and targets meet every parameter in the loss graph
@@ -578,12 +572,12 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
     best = None
     val_total = float("nan")
     it = 0
-    with _pinned_workers(cfg) as workers, _frozen(det_params, cfg.freeze_detector):
+    with _pinned_workers(cfg) as workers, _frozen([t for _, t in detector.parameters()]):
         # computed before the workers fork, so they inherit them, and on the
         # BLAS thread count the steps use
-        train_fixed = _pair_constants(train, detector, cfg)
-        val_fixed = _pair_constants(val_pairs, detector, cfg)
-        with _SampleParallel(trained, cfg, workers, sample_loss, evaluate, grad_dtype) as engine:
+        train_fixed = _pair_constants(train, detector)
+        val_fixed = _pair_constants(val_pairs, detector)
+        with _SampleParallel(params, cfg, workers, sample_loss, evaluate, grad_dtype) as engine:
             while it < cfg.max_iterations:
                 for batch in _batches(len(train), cfg.batch_size, rng):
                     if it >= cfg.max_iterations:
@@ -616,12 +610,11 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
 
 
 @contextlib.contextmanager
-def _frozen(tensors, freeze):
-    """Hold ``requires_grad`` off on ``tensors`` when ``freeze``; restore the flags after."""
+def _frozen(tensors):
+    """Hold ``requires_grad`` off on ``tensors``; restore the flags after."""
     saved = [t.requires_grad for t in tensors]
-    if freeze:
-        for t in tensors:
-            t.requires_grad = False
+    for t in tensors:
+        t.requires_grad = False
     try:
         yield
     finally:
@@ -629,40 +622,28 @@ def _frozen(tensors, freeze):
             t.requires_grad = flag
 
 
-def _pair_constants(pairs, detector, cfg):
+def _pair_constants(pairs, detector):
     """What the losses need of each pair's real vibration, as ``(magnitude, scores)``.
 
-    Its magnitude spectrogram never changes during a run, and neither do a
-    frozen detector's scores for it, which the ``paired`` class term
-    compares against; so both are computed once per call.  ``scores`` is
-    None where the detector's are not needed or change every step.
+    Neither its magnitude spectrogram nor the frozen detector's scores for
+    it change during a run, so both are computed once per call.
     """
-    fixed_scores = cfg.class_loss_mode == "paired" and cfg.freeze_detector
     with no_grad():
-        return [(stft_magnitude(p.vibration).data,
-                 detector(p.vibration.reshape(1, -1)).data if fixed_scores else None)
+        return [(stft_magnitude(p.vibration).data, detector(p.vibration.reshape(1, -1)).data)
                 for p in pairs]
 
 
-def _sample_losses(model, detector, pair, fixed, cfg):
+def _sample_losses(model, detector, pair, fixed):
     """Time, spectral and class loss tensors of one pair, as ``(time, stft, class)``.
 
     ``fixed`` is the pair's entry from :func:`_pair_constants`.  The class
     term compares the detector's scores for the synthesized vibration with
-    its scores for the real vibration (``paired``) or with the label's tanh
-    target (``target``).
+    its scores for the real vibration.
     """
     magnitude, real_scores = fixed
     synth = model(pair.sound.reshape(1, -1))
-    t_loss = loss_time(pair.vibration, synth)
-    s_loss = loss_magnitude(magnitude, synth)
-    score_s = detector(synth)
-    if cfg.class_loss_mode == "target":
-        return t_loss, s_loss, loss_class(CLASS_TARGETS[pair.label], score_s)
-    if real_scores is None:                     # an unfrozen detector changes every step
-        with no_grad():
-            real_scores = detector(pair.vibration.reshape(1, -1)).data
-    return t_loss, s_loss, loss_class(real_scores, score_s)
+    return (loss_time(pair.vibration, synth), loss_magnitude(magnitude, synth),
+            loss_class(real_scores, detector(synth)))
 
 
 def classify_pairs(detector, pairs, transformer=None):
@@ -681,18 +662,15 @@ def classify_pairs(detector, pairs, transformer=None):
     return preds, labels
 
 
-def run_experiment(cfg: TrainConfig, pairs, held_out_speed, log=None,
+def run_experiment(cfg: TrainConfig, split: DataSplit, log=None,
                    detector=None, transformer=None):
-    """Full protocol: train the detector on real vibration, train the
-    cascaded transformer, then score the detector on (a) the real test
-    vibration and (b) the transformer-synthesized test vibration.
+    """Full protocol on ``split``: train the detector on real vibration,
+    train the cascaded transformer, then score the detector on (a) the real
+    test vibration and (b) the transformer-synthesized test vibration.
 
     Returns a dict with both metrics reports and the real-vs-synthesized
     accuracy gap.
     """
-    split = split_dataset(pairs, held_out_speed, cfg.train_seconds, cfg.val_seconds)
-    if not split.test:
-        raise ValueError(f"no test segments at held-out speed {held_out_speed}")
     det_history = None
     if detector is None:
         detector, det_history = train_fault_detector(split.train, split.val, cfg, log=log)

@@ -336,7 +336,7 @@ def test_a11_real_dataset_accuracy_near_reference_rows():
     pairs = load_segment_pairs(os.environ["OPVIB_BENCH_MANIFEST"])
     held_out = float(os.environ.get("OPVIB_BENCH_HELD_OUT_SPEED",
                                     max(p.speed for p in pairs)))
-    result = run_experiment(TrainConfig(seed=0), pairs, held_out)
+    result = run_experiment(TrainConfig(seed=0), split_dataset(pairs, held_out))
     acc = result["real"].accuracy
     print(f"criterion 11 (real data): accuracy {acc:.2f}%, gap {result['accuracy_gap']:.2f}")
     assert min(abs(acc - 99.70), abs(acc - 97.56)) <= 2.0

@@ -104,11 +104,19 @@ def test_bad_split_seconds_exit_1(dataset, tmp_path, capsys, flag, value):
     assert not (tmp_path / "det.opvb").exists()
 
 
-def test_l_seg_zero_is_not_inferred_from_data(dataset, tmp_path, capsys):
-    argv = ["train-detector", "--manifest", str(dataset / "manifest.tsv"),
-            "--out", str(tmp_path / "det.opvb"), "--epochs", "1", "--l-seg", "0"]
-    assert run(argv) == 1
-    assert f"--l-seg 0 does not match the data's {RATE}" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,config,message", [
+    (["train-transformer", "--joint"], None, "unrecognized arguments: --joint"),
+    (["train-detector", "--l-seg", str(RATE)], None, f"unrecognized arguments: --l-seg {RATE}"),
+    (["train-transformer"], "class_loss=target", "not options of train-transformer: class_loss"),
+], ids=["joint", "l_seg", "class_loss"])
+def test_removed_training_options_exit_2(tmp_path, capsys, argv, config, message):
+    # training always runs with the detector frozen, the paired class term and
+    # the data's segment length, so none of them is an option
+    if config:
+        (tmp_path / "run.cfg").write_text(f"{config}\n")
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_manifest_is_runtime_failure(tmp_path):
@@ -212,8 +220,7 @@ def test_config_file_overrides_defaults_and_flags_override_config(tmp_path, caps
     assert wavs == 2 * (1 + 2)
 
 
-@pytest.mark.parametrize("key,flag,value", [("l_seg", "--l-seg", str(RATE)),
-                                            ("held_out_speed", "--held-out-speed", "680")])
+@pytest.mark.parametrize("key,flag,value", [("held_out_speed", "--held-out-speed", "680")])
 def test_config_value_parses_like_its_flag(dataset, tmp_path, capsys, key, flag, value):
     # options whose default is None used to keep the config file's string
     argv = ["train-detector", "--manifest", str(dataset / "manifest.tsv"),
@@ -330,4 +337,5 @@ def test_reproducible_refuses_a_blas_pin_that_does_not_take(tmp_path, monkeypatc
     assert "cannot pin BLAS" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
     assert get() == 2
-    assert training._worker_count(training.TrainConfig()) == 1
+    with training._pinned_workers(training.TrainConfig()) as workers:
+        assert workers == 1

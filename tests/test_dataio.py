@@ -132,6 +132,16 @@ def test_write_wav_matches_scipy_bytes(tmp_path):
     assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
 
+def test_write_wav_past_the_riff_size_limit_is_data_error(tmp_path):
+    # 2**30 float32 samples are 4 GiB, one RIFF size field too many; the
+    # broadcast view allocates nothing
+    signal = Signal(np.zeros(4, dtype=np.float32), 4096.0)
+    signal.samples = np.broadcast_to(np.float32(0), (2**30,))
+    with pytest.raises(DataError, match="4 GiB limit"):
+        write_wav(tmp_path / "huge.wav", signal)
+    assert not any(tmp_path.iterdir())
+
+
 def test_stereo_wav_rejected(tmp_path):
     path = tmp_path / "stereo.wav"
     wavfile.write(path, 8000, np.zeros((100, 2), dtype=np.int16))
@@ -204,6 +214,14 @@ def test_truncated_data_chunk_is_audio_format_error(tmp_path, kept):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_recording(tmp_path / "nope.wav")
+
+
+@pytest.mark.parametrize("name", ["a.wav", "a.csv"])
+def test_directory_is_not_a_recording(tmp_path, name):
+    # it escaped as IsADirectoryError
+    (tmp_path / name).mkdir()
+    with pytest.raises(DataError, match="not a regular file"):
+        load_recording(tmp_path / name)
 
 
 def _write_pair(tmp_path, stem, n=64, rate=32):

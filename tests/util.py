@@ -157,18 +157,14 @@ def frames1d_backward_loop(g, n, hop):
     return gx
 
 
-def _fresh_sample_losses(model, detector, pair, cfg):
+def _fresh_sample_losses(model, detector, pair):
     """``(time, stft, class)`` loss tensors of one pair, with the detector's
     scores and the target spectrogram computed anew on every call."""
     from opvib.losses import loss_class, loss_stft, loss_time
-    from opvib.models import CLASS_TARGETS
     from opvib.tensor import no_grad
 
-    if cfg.class_loss_mode == "paired":
-        with no_grad():
-            target = detector(pair.vibration.reshape(1, -1)).data
-    else:
-        target = CLASS_TARGETS[pair.label]
+    with no_grad():
+        target = detector(pair.vibration.reshape(1, -1)).data
     synth = model(pair.sound.reshape(1, -1))
     return (loss_time(pair.vibration, synth), loss_stft(pair.vibration, synth),
             loss_class(target, detector(synth)))
@@ -180,8 +176,8 @@ def joined_graph_training(train, val, cfg, detector, model):
 
     It follows the loop's shuffled batches, validation schedule and
     best-weights restore, but no cache: every loss is built from the pair
-    alone.  ``model`` (and an unfrozen detector) is updated in place, and
-    the detector's flags are restored.
+    alone.  ``model`` is updated in place; the detector is frozen, and its
+    flags are restored.
     """
     from opvib.losses import loss_total
     from opvib.optim import Adam
@@ -190,12 +186,10 @@ def joined_graph_training(train, val, cfg, detector, model):
     rng = np.random.default_rng(cfg.seed)
     params = [t for _, t in model.parameters()]
     det_params = [t for _, t in detector.parameters()]
-    trained = params if cfg.freeze_detector else params + det_params
     flags = [t.requires_grad for t in det_params]
-    if cfg.freeze_detector:
-        for t in det_params:
-            t.requires_grad = False
-    opt = Adam(trained, lr=cfg.learning_rate)
+    for t in det_params:
+        t.requires_grad = False
+    opt = Adam(params, lr=cfg.learning_rate)
     history, best, val_total, it = [], None, float("nan"), 0
     try:
         while it < cfg.max_iterations:
@@ -203,14 +197,14 @@ def joined_graph_training(train, val, cfg, detector, model):
             for start in range(0, len(train), cfg.batch_size):
                 if it >= cfg.max_iterations:
                     break
-                samples = [_fresh_sample_losses(model, detector, train[i], cfg)
+                samples = [_fresh_sample_losses(model, detector, train[i])
                            for i in order[start:start + cfg.batch_size]]
                 joined = loss_total(*samples[0], cfg.lam)
                 for sample in samples[1:]:
                     joined = joined + loss_total(*sample, cfg.lam)
                 (joined / len(samples)).backward()
                 opt.step()
-                for t in trained:
+                for t in params:
                     t.grad = None
                 it += 1
                 time_l1, stft_l1, class_mse = (sum(t.item() for t in col) / len(samples)
@@ -220,7 +214,7 @@ def joined_graph_training(train, val, cfg, detector, model):
                     with no_grad():
                         for pair in val:
                             val_total += loss_total(
-                                *(t.item() for t in _fresh_sample_losses(model, detector, pair, cfg)),
+                                *(t.item() for t in _fresh_sample_losses(model, detector, pair)),
                                 cfg.lam)
                     val_total /= len(val)
                     if best is None or val_total < best[0]:
