@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -199,10 +200,13 @@ def _echo(opts, reproducible):
     print(f"config: {rendered} reproducible={reproducible}")
 
 
-def _default_held_out(pairs, value):
-    if value is not None:
-        return float(value)
-    return max(p.speed for p in pairs)
+def _load_pairs(opts):
+    """The manifest's segment pairs, and the held-out speed: the option's, else the highest."""
+    pairs = load_segment_pairs(opts["manifest"])
+    if not pairs:
+        raise DataError(f"{opts['manifest']}: the manifest gave no 1-second segment pairs")
+    held_out = opts["held_out_speed"]
+    return pairs, max(p.speed for p in pairs) if held_out is None else float(held_out)
 
 
 def _load_kind(path, klass):
@@ -229,8 +233,7 @@ def _cmd_gen_synthetic(opts):
 
 
 def _cmd_train_detector(opts):
-    pairs = load_segment_pairs(opts["manifest"])
-    held_out = _default_held_out(pairs, opts["held_out_speed"])
+    pairs, held_out = _load_pairs(opts)
     split = split_dataset(pairs, held_out, opts["train_seconds"], opts["val_seconds"])
     cfg = TrainConfig(batch_size=opts["batch_size"], classifier_epochs=opts["epochs"],
                       learning_rate=opts["lr"], seed=opts["seed"])
@@ -248,8 +251,7 @@ def _cmd_train_detector(opts):
 
 def _cmd_train_transformer(opts):
     detector, det_meta = _load_kind(opts["detector"], FaultClassifier)
-    pairs = load_segment_pairs(opts["manifest"])
-    held_out = _default_held_out(pairs, opts["held_out_speed"])
+    pairs, held_out = _load_pairs(opts)
     split = split_dataset(pairs, held_out, opts["train_seconds"], opts["val_seconds"])
     cfg = TrainConfig(batch_size=opts["batch_size"], max_iterations=opts["iters"],
                       learning_rate=opts["lr"], lam=opts["lam"], seed=opts["seed"],
@@ -274,7 +276,11 @@ def _cmd_synthesize(opts):
     model, meta = _load_kind(opts["model"], OpUNet)
     sound = load_recording(opts["sound"])
     l_seg = model.l_seg
-    expected_rate = float(meta.get("sample_rate_hz", l_seg))
+    expected_rate = meta.get("sample_rate_hz", l_seg)
+    if isinstance(expected_rate, bool) or not isinstance(expected_rate, (int, float)) \
+            or not 0 < expected_rate < math.inf:
+        raise DataError(f"{opts['model']}: checkpoint meta sample_rate_hz={expected_rate!r} "
+                        f"is not a finite, positive number")
     if int(round(sound.sample_rate_hz)) != int(round(expected_rate)):
         raise DataError(
             f"{opts['sound']}: sample rate {sound.sample_rate_hz:g} Hz does not match the "
@@ -303,8 +309,7 @@ def _cmd_evaluate(opts):
     transformer = None
     if opts["transformer"]:
         transformer, _ = _load_kind(opts["transformer"], OpUNet)
-    pairs = load_segment_pairs(opts["manifest"])
-    held_out = _default_held_out(pairs, opts["held_out_speed"])
+    pairs, held_out = _load_pairs(opts)
     if opts["split"] == "all":
         subset = pairs
     else:

@@ -212,13 +212,6 @@ class DatasetManifest:
     path: Path
     entries: list = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.entries)
-
-    @property
-    def speeds(self):
-        return sorted({e.speed for e in self.entries})
-
 
 def load_manifest(path):
     """Parse and validate a manifest; every referenced file must exist."""
@@ -285,12 +278,14 @@ def _normalize_with_flag(x):
     return normalize_segment(x), False
 
 
-def load_segment_pairs(manifest, seg_seconds=1.0):
+def load_segment_pairs(manifest):
     """Load every manifest entry into normalized 1-second segment pairs.
 
     Pairs keep manifest order (chronological) and then segment order within
     each recording.  Length mismatches are truncated to the shorter stream
-    with a warning; sample-rate mismatches are errors.
+    with a warning; sample-rate mismatches are errors.  A pair carries its
+    entry's label and speed; the machine, load and sensor columns are
+    checked only for presence.
     """
     if not isinstance(manifest, DatasetManifest):
         manifest = load_manifest(manifest)
@@ -312,20 +307,12 @@ def load_segment_pairs(manifest, seg_seconds=1.0):
             )
             snd = Signal(snd.samples[:n], snd.sample_rate_hz)
             vib = Signal(vib.samples[:n], vib.sample_rate_hz)
-        s_segs = segment_signal(snd, seg_seconds)
-        v_segs = segment_signal(vib, seg_seconds)
-        for s_raw, v_raw in zip(s_segs, v_segs):
-            s_norm, s_deg = _normalize_with_flag(s_raw)
-            v_norm, v_deg = _normalize_with_flag(v_raw)
+        for s_raw, v_raw in zip(segment_signal(snd), segment_signal(vib)):
             pairs.append(SegmentPair(
-                sound=s_norm.astype(np.float32),
-                vibration=v_norm.astype(np.float32),
+                sound=_normalize_with_flag(s_raw)[0].astype(np.float32),
+                vibration=_normalize_with_flag(v_raw)[0].astype(np.float32),
                 label=entry.label,
-                machine_id=entry.machine_id,
                 speed=entry.speed,
-                load=entry.load,
-                sensor_id=entry.sensor_id,
-                degenerate=s_deg or v_deg,
                 sample_rate_hz=snd.sample_rate_hz,
             ))
     return pairs

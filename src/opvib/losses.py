@@ -39,9 +39,9 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def stft_magnitude(x, n_fft=256, hop=128):
-    """Differentiable magnitude spectrogram, shape ``(frames, n_fft//2 + 1)``."""
-    return (power_spectrum(windowed_frames(x, n_fft, hop)) + MAGNITUDE_EPS).sqrt()
+def stft_magnitude(x):
+    """Differentiable magnitude spectrogram, shape ``(frames, N_FFT//2 + 1)``."""
+    return (power_spectrum(windowed_frames(x)) + MAGNITUDE_EPS).sqrt()
 
 
 def loss_time(y, synth):
@@ -55,16 +55,16 @@ def loss_time(y, synth):
     return (y.reshape(-1) - synth.reshape(-1)).abs().mean()
 
 
-def loss_stft(y, synth, n_fft=256, hop=128):
+def loss_stft(y, synth):
     """Mean absolute error between the magnitude spectra of two segments."""
-    return loss_magnitude(stft_magnitude(y, n_fft, hop), synth, n_fft, hop)
+    return loss_magnitude(stft_magnitude(y), synth)
 
 
-def loss_magnitude(target, synth, n_fft=256, hop=128):
+def loss_magnitude(target, synth):
     """:func:`loss_stft` against ``target``, a magnitude spectrogram computed
     beforehand by :func:`stft_magnitude`, so a fixed target is transformed once."""
     target = _as_tensor(target)
-    ms = stft_magnitude(synth, n_fft, hop)
+    ms = stft_magnitude(synth)
     if target.data.shape != ms.data.shape:
         raise ShapeError(f"spectrogram shape mismatch: {target.data.shape} vs {ms.data.shape}")
     return (target - ms).abs().mean()

@@ -84,25 +84,21 @@ def predict_label(scores):
 class DenseConfig(NamedTuple):
     n_in: int
     n_out: int
-    activation: str = "tanh"
 
 
 class DenseLayer:
-    """Fully connected layer on row vectors: ``(1, n) @ W + b``."""
+    """Fully connected layer on row vectors: ``tanh((1, n) @ W + b)``."""
 
-    def __init__(self, n_in, n_out, activation="tanh", rng=None, dtype=np.float32):
+    def __init__(self, n_in, n_out, rng=None, dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng()
         limit = 1.0 / np.sqrt(n_in)
         self.weights = Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(dtype),
                               requires_grad=True)
         self.biases = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
-        self.activation = activation
         self.n_in = n_in
-        self.n_out = n_out
 
     def __call__(self, x):
-        out = x @ self.weights + self.biases
-        return out.tanh() if self.activation == "tanh" else out
+        return (x @ self.weights + self.biases).tanh()
 
     def parameters(self):
         return [self.weights, self.biases]

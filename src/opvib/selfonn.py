@@ -56,11 +56,8 @@ class OperationalLayerConfig:
     stride: int = 1
     padding: int = 0
     transposed: bool = False
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in ("tanh", "none"):
-            raise ValueError(f"activation must be 'tanh' or 'none', got {self.activation!r}")
         for name in ("in_channels", "out_channels", "kernel", "q", "stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -140,7 +137,7 @@ def transposed_generative_forward(y, weights, biases=None, stride=1, padding=0):
 
 
 class OperationalLayer:
-    """One operational layer: trainable generative kernels + optional tanh.
+    """One operational layer: trainable generative kernels followed by tanh.
 
     A call is one graph node, the fused conv of :mod:`opvib.tensor`.
     ``weights`` is kept in the GEMM layout of :func:`to_gemm_layout`, so the
@@ -159,11 +156,7 @@ class OperationalLayer:
     def __call__(self, y):
         c = self.config
         conv = transposed_conv1d if c.transposed else conv1d
-        return conv(y, self.weights, self.biases, c.stride, c.padding, q=c.q,
-                    tanh=c.activation == "tanh")
+        return conv(y, self.weights, self.biases, c.stride, c.padding, q=c.q, tanh=True)
 
     def parameters(self):
         return [self.weights, self.biases]
-
-    def parameter_count(self):
-        return self.weights.data.size + self.biases.data.size

@@ -1,7 +1,9 @@
 """Segmentation, normalization, Hann windowing, STFT and spectrograms.
 
 All functions are pure and operate on plain numpy arrays; the sample rate
-travels separately (or inside :class:`Signal`).
+travels separately (or inside :class:`Signal`).  Every short-time transform
+uses one geometry: :data:`N_FFT`-sample frames every :data:`HOP` samples,
+times the periodic Hann window.
 """
 
 from __future__ import annotations
@@ -23,8 +25,13 @@ __all__ = [
     "windowed_frames",
     "stft",
     "spectrogram",
-    "num_stft_frames",
+    "N_FFT",
+    "HOP",
 ]
+
+# the STFT frame length and the step between frames, in samples
+N_FFT = 256
+HOP = 128
 
 
 class DegenerateSegmentWarning(UserWarning):
@@ -48,10 +55,6 @@ class Signal:
         if not np.isfinite(self.samples).all():
             raise ValueError("signal samples must be finite")
 
-    @property
-    def duration_seconds(self):
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass
 class SegmentPair:
@@ -60,11 +63,7 @@ class SegmentPair:
     sound: np.ndarray
     vibration: np.ndarray
     label: str
-    machine_id: str = ""
     speed: float = 0.0
-    load: str = ""
-    sensor_id: str = ""
-    degenerate: bool = False
     sample_rate_hz: float = 0.0
 
     def __post_init__(self):
@@ -99,18 +98,15 @@ def normalize_segment(x):
     )
 
 
-def segment_signal(s: Signal, seg_seconds=1.0, hop_seconds=None):
-    """Cut a signal into fixed-length windows (non-overlapping by default).
+def segment_signal(s: Signal, seg_seconds=1.0):
+    """Cut a signal into non-overlapping fixed-length windows.
 
     The trailing partial window is discarded; a too-short signal yields an
     empty list with a warning rather than an error.
     """
-    if hop_seconds is None:
-        hop_seconds = seg_seconds
     seg_len = int(round(seg_seconds * s.sample_rate_hz))
-    hop_len = int(round(hop_seconds * s.sample_rate_hz))
-    if seg_len < 1 or hop_len < 1:
-        raise ValueError("segment and hop must cover at least one sample")
+    if seg_len < 1:
+        raise ValueError("a segment must cover at least one sample")
     n = s.samples.size
     if n < seg_len:
         warnings.warn(
@@ -118,8 +114,7 @@ def segment_signal(s: Signal, seg_seconds=1.0, hop_seconds=None):
             stacklevel=2,
         )
         return []
-    count = (n - seg_len) // hop_len + 1
-    return [s.samples[i * hop_len : i * hop_len + seg_len].copy() for i in range(count)]
+    return [s.samples[i * seg_len : (i + 1) * seg_len].copy() for i in range(n // seg_len)]
 
 
 def hann_window(n):
@@ -130,38 +125,30 @@ def hann_window(n):
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
 
 
-def num_stft_frames(length, n_fft=256, hop=128):
-    return (length - n_fft) // hop + 1
+def windowed_frames(x):
+    """Frames ``x[t*HOP : t*HOP + N_FFT]`` times the periodic Hann window,
+    a differentiable ``(frames, N_FFT)`` :class:`~opvib.tensor.Tensor` in
+    the dtype of ``x``.
 
-
-def windowed_frames(x, n_fft=256, hop=128, window=None):
-    """Frames ``x[t*hop : t*hop + n_fft]`` times the window, a differentiable
-    ``(frames, n_fft)`` :class:`~opvib.tensor.Tensor` in the dtype of ``x``.
-
-    The window defaults to the periodic Hann.  :func:`stft`,
-    :func:`spectrogram` and :func:`opvib.losses.stft_magnitude` all frame
-    through here, so the transform the tests check is the one the loss trains on.
+    :func:`stft`, :func:`spectrogram` and :func:`opvib.losses.stft_magnitude`
+    all frame through here, so the transform the tests check is the one the loss trains on.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.data.size < n_fft:
-        raise ShapeError(f"segment shorter than FFT size: {x.data.size} < {n_fft}")
-    window = hann_window(n_fft) if window is None else np.asarray(window)
-    if window.shape != (n_fft,):
-        raise ShapeError(f"window shape {window.shape} != ({n_fft},)")
-    return frames1d(x, n_fft, hop) * window.astype(x.dtype)
+    if x.data.size < N_FFT:
+        raise ShapeError(f"segment shorter than FFT size: {x.data.size} < {N_FFT}")
+    return frames1d(x, N_FFT, HOP) * hann_window(N_FFT).astype(x.dtype)
 
 
-def stft(x, n_fft=256, hop=128, window=None):
-    """Short-time Fourier transform, returning ``(frames, n_fft//2 + 1)`` complex bins.
+def stft(x):
+    """Short-time Fourier transform, returning ``(frames, N_FFT//2 + 1)`` complex bins.
 
-    Frame t covers ``x[t*hop : t*hop + n_fft]``, computed in float64; the
-    window defaults to the periodic Hann.
+    Frame t covers ``x[t*HOP : t*HOP + N_FFT]``, computed in float64.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return np.fft.rfft(windowed_frames(x, n_fft, hop, window).data, axis=1)
+    return np.fft.rfft(windowed_frames(x).data, axis=1)
 
 
-def spectrogram(x, n_fft=256, hop=128, window=None):
+def spectrogram(x):
     """Squared-magnitude STFT; entries are non-negative."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return power_spectrum(windowed_frames(x, n_fft, hop, window)).data
+    return power_spectrum(windowed_frames(x)).data

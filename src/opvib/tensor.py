@@ -163,9 +163,6 @@ class Tensor:
             raise UsageError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -205,9 +202,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-_coerce(other, self.dtype))
-
-    def __rsub__(self, other):
-        return _coerce(other, self.dtype) + (-self)
 
     def __truediv__(self, scalar):
         if isinstance(scalar, Tensor):

@@ -119,19 +119,16 @@ class DataSplit:
                 raise ValueError("test split contains a non-held-out-speed segment")
 
 
-def split_dataset(records, held_out_speed, train_seconds=TRAIN_SECONDS, val_seconds=VAL_SECONDS,
-                  seg_seconds=1.0):
+def split_dataset(records, held_out_speed, train_seconds=TRAIN_SECONDS, val_seconds=VAL_SECONDS):
     """Chronological split with one speed setting spared for testing.
 
     All held-out-speed segments form the test set.  Of the remaining
-    segments, in order, the first ``train_seconds`` worth go to training and
-    the next ``val_seconds`` worth to validation; any surplus is unused.
+    1-second segments, in order, the first ``int(train_seconds)`` go to
+    training and the next ``int(val_seconds)`` to validation; any surplus is unused.
     """
     for name, value in (("train_seconds", train_seconds), ("val_seconds", val_seconds)):
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
-    if not (np.isfinite(seg_seconds) and seg_seconds > 0):
-        raise ValueError(f"seg_seconds must be finite and positive, got {seg_seconds}")
     speeds = sorted({r.speed for r in records})
     if held_out_speed not in speeds:
         raise ValueError(
@@ -139,8 +136,8 @@ def split_dataset(records, held_out_speed, train_seconds=TRAIN_SECONDS, val_seco
         )
     test = [r for r in records if r.speed == held_out_speed]
     rest = [r for r in records if r.speed != held_out_speed]
-    n_train = int(train_seconds / seg_seconds)
-    n_val = int(val_seconds / seg_seconds)
+    n_train = int(train_seconds)
+    n_val = int(val_seconds)
     return DataSplit(rest[:n_train], rest[n_train:n_train + n_val], test, held_out_speed)
 
 
@@ -244,18 +241,18 @@ class _Arena:
     """The trained parameters and their per-sample gradients in shared memory.
 
     The parameters form one flat row, with one gradient row per batch
-    position in ``grad_dtype``, the dtype their backward passes produce.
-    The parameters are rebound as views into their row, so forked workers
-    read every update.  ``release`` rebinds them to private copies.
+    position in the same dtype.  The parameters are rebound as views into
+    their row, so forked workers read every update.  ``release`` rebinds
+    them to private copies.
     """
 
-    def __init__(self, params, slots, grad_dtype):
+    def __init__(self, params, slots):
         dtypes = {t.dtype for t in params}
         if len(dtypes) != 1:
             raise ConfigError(f"trained parameters of several dtypes: {sorted(map(str, dtypes))}")
         self.params = params
         flat = _shared(sum(t.data.size for t in params), dtypes.pop())
-        self.grads = _shared((slots, flat.size), grad_dtype)
+        self.grads = _shared((slots, flat.size), flat.dtype)
         self.spans = []
         start = 0
         for t in params:
@@ -421,9 +418,9 @@ class _SampleParallel:
     ``i``.  Both run on whichever worker holds the item.
     """
 
-    def __init__(self, params, cfg, workers, sample_loss, evaluate, grad_dtype):
+    def __init__(self, params, cfg, workers, sample_loss, evaluate):
         self.sample_loss = sample_loss
-        self.arena = _Arena(params, cfg.batch_size, grad_dtype)
+        self.arena = _Arena(params, cfg.batch_size)
         # one Adam array per parameter, as a flat update over a whole row
         # gives the same bits but allocates row-sized temporaries each step
         self.opt = Adam(params, lr=cfg.learning_rate)
@@ -504,9 +501,8 @@ def train_fault_detector(train, val, cfg: TrainConfig, log=None):
             scores = model(pair.vibration.reshape(1, -1))
             return loss_class(CLASS_TARGETS[pair.label], scores).item(), predict_label(scores) == pair.label
 
-    grad_dtype = np.result_type(np.float32, model.dtype)
     with _pinned_workers(cfg) as workers, \
-            _SampleParallel(params, cfg, workers, sample_loss, evaluate, grad_dtype) as engine:
+            _SampleParallel(params, cfg, workers, sample_loss, evaluate) as engine:
         for epoch in range(cfg.classifier_epochs):
             train_mse = 0.0
             for batch in _batches(len(train), cfg.batch_size, rng):
@@ -540,13 +536,18 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
     """Cascaded training of the sound-to-vibration transformer.
 
     The frozen detector scores both the real and the synthesized vibration;
-    only the transformer's parameters are updated.  The segment length is
-    the detector's, and a ``model`` or pairs of another length are a
-    :class:`ConfigError`.  Returns ``(model, history)`` with the
-    best-validation-total weights restored.
+    only the transformer's parameters are updated.  The segment length and
+    dtype are the detector's, and a ``model`` or pairs of another length, or
+    a ``model`` of another dtype, are a :class:`ConfigError`.  Returns
+    ``(model, history)`` with the best-validation-total weights restored.
     """
+    if not train:
+        raise ValueError("transformer training needs at least one training pair, got none")
     if model is None:
         model = OpUNet(l_seg=detector.l_seg, seed=cfg.seed)
+    if model.dtype != detector.dtype:
+        raise ConfigError(f"the detector is {detector.dtype} and the model {model.dtype}; "
+                          f"training runs in one dtype")
     lengths = {model.l_seg} | {p.sound.size for p in [*train, *val]}
     if lengths != {detector.l_seg}:
         raise ConfigError(f"the detector expects {detector.l_seg}-sample segments; "
@@ -566,8 +567,6 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
             sample = _sample_losses(model, detector, val_pairs[i], val_fixed[i])
             return loss_total(*(t.item() for t in sample), cfg.lam)
 
-    # the float32 segments and targets meet every parameter in the loss graph
-    grad_dtype = np.result_type(np.float32, model.dtype, detector.dtype)
     history = []
     best = None
     val_total = float("nan")
@@ -577,7 +576,7 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
         # BLAS thread count the steps use
         train_fixed = _pair_constants(train, detector)
         val_fixed = _pair_constants(val_pairs, detector)
-        with _SampleParallel(params, cfg, workers, sample_loss, evaluate, grad_dtype) as engine:
+        with _SampleParallel(params, cfg, workers, sample_loss, evaluate) as engine:
             while it < cfg.max_iterations:
                 for batch in _batches(len(train), cfg.batch_size, rng):
                     if it >= cfg.max_iterations:
@@ -662,8 +661,7 @@ def classify_pairs(detector, pairs, transformer=None):
     return preds, labels
 
 
-def run_experiment(cfg: TrainConfig, split: DataSplit, log=None,
-                   detector=None, transformer=None):
+def run_experiment(cfg: TrainConfig, split: DataSplit, log=None):
     """Full protocol on ``split``: train the detector on real vibration,
     train the cascaded transformer, then score the detector on (a) the real
     test vibration and (b) the transformer-synthesized test vibration.
@@ -671,12 +669,8 @@ def run_experiment(cfg: TrainConfig, split: DataSplit, log=None,
     Returns a dict with both metrics reports and the real-vs-synthesized
     accuracy gap.
     """
-    det_history = None
-    if detector is None:
-        detector, det_history = train_fault_detector(split.train, split.val, cfg, log=log)
-    tr_history = None
-    if transformer is None:
-        transformer, tr_history = train_transformer(split.train, split.val, cfg, detector, log=log)
+    detector, det_history = train_fault_detector(split.train, split.val, cfg, log=log)
+    transformer, tr_history = train_transformer(split.train, split.val, cfg, detector, log=log)
 
     report_real = compute_metrics(*classify_pairs(detector, split.test))
     report_synth = compute_metrics(*classify_pairs(detector, split.test, transformer))

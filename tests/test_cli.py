@@ -7,6 +7,7 @@ import pytest
 
 from opvib import cli, training
 from opvib.dataio import load_recording, write_wav
+from opvib.models import OpUNet, save_checkpoint
 from opvib.signal import Signal
 from util import THREAD_VARS, fake_blas_threads, opvib_subprocess_env
 
@@ -125,6 +126,33 @@ def test_missing_manifest_is_runtime_failure(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["train-detector", "train-transformer", "evaluate"])
+def test_manifest_without_pairs_exits_1(detector_ckpt, tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("# a header line and no rows\n")
+    argv = [command, "--manifest", str(manifest), "--out", str(tmp_path / "x.opvb")]
+    if command != "train-detector":
+        argv += ["--detector", str(detector_ckpt)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: the manifest gave no 1-second segment pairs" in err
+    assert not (tmp_path / "x.opvb").exists()
+
+
+def test_train_transformer_with_no_training_pairs_exits_1(dataset, detector_ckpt, tmp_path):
+    # in a child process with a timeout, so a training loop that never ends
+    # fails the test rather than hanging the suite
+    out = tmp_path / "t.opvb"
+    proc = subprocess.run(
+        [sys.executable, "-m", "opvib", "train-transformer", "--manifest",
+         str(dataset / "manifest.tsv"), "--detector", str(detector_ckpt), "--out", str(out),
+         "--train-seconds", "0"],
+        env=opvib_subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "error: transformer training needs at least one training pair" in proc.stderr
+    assert not out.exists()
+
+
 def test_train_transformer_requires_detector_flag(dataset, tmp_path):
     rc = run(["train-transformer", "--manifest", str(dataset / "manifest.tsv"),
               "--out", str(tmp_path / "t.opvb")])
@@ -179,6 +207,20 @@ def test_synthesize_rate_mismatch_exits_1(transformer_ckpt, tmp_path, capsys):
               "--sound", str(src), "--out", str(tmp_path / "y.wav")])
     assert rc == 1
     assert "sample rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", [None, "abc", [4096], float("nan"), float("inf"), float("-inf")],
+                         ids=["null", "string", "list", "NaN", "Infinity", "-Infinity"])
+def test_synthesize_bad_meta_sample_rate_exits_1(tmp_path, capsys, rate):
+    model = tmp_path / "tr.opvb"
+    save_checkpoint(OpUNet(l_seg=RATE), model, meta={"sample_rate_hz": rate})
+    src = tmp_path / "in.wav"
+    write_wav(src, Signal(np.zeros(RATE, dtype=np.float32), RATE))
+    rc = run(["synthesize", "--model", str(model), "--sound", str(src),
+              "--out", str(tmp_path / "y.wav")])
+    assert rc == 1
+    assert "sample_rate_hz" in capsys.readouterr().err
+    assert not (tmp_path / "y.wav").exists()
 
 
 def test_evaluate_real_and_synthesized_rows(dataset, detector_ckpt, transformer_ckpt, tmp_path, capsys):

@@ -240,8 +240,7 @@ def test_manifest_roundtrip(tmp_path):
     mpath = tmp_path / "manifest.tsv"
     mpath.write_text("# header\n" + "\n".join(rows) + "\n")
     manifest = load_manifest(mpath)
-    assert len(manifest) == 3
-    assert manifest.speeds == [480.0, 680.0, 1010.0]
+    assert [e.speed for e in manifest.entries] == [480.0, 680.0, 1010.0]
     assert manifest.entries[1].label == "faulty"
 
 

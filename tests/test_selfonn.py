@@ -94,15 +94,6 @@ def test_same_padding_stride1_preserves_length():
     assert layer(x).data.shape == (2, 33)
 
 
-def test_activation_none_equals_raw_generative_forward():
-    cfg = OperationalLayerConfig(2, 3, kernel=3, q=2, stride=1, padding=1, activation="none")
-    layer = OperationalLayer(cfg, np.random.default_rng(5))
-    x = Tensor(np.random.default_rng(6).uniform(-1, 1, (2, 12)).astype(np.float32))
-    paper = to_paper_layout(layer.weights.data, cfg.q)
-    raw = generative_forward(x, paper, layer.biases, 1, 1).data
-    assert np.array_equal(layer(x).data, raw)
-
-
 def test_layers_equal_the_paper_form_reference():
     # the stored GEMM-layout kernels, laid back out as (Q, out, in, K), give the
     # paper-form forward bit for bit, strided and transposed, with tanh
@@ -127,10 +118,8 @@ def test_layer_weights_feed_the_conv_directly():
     # no re-layout node between the trainable kernels and the conv, and no
     # power-stack or pre-activation node either: powers, bias and tanh run
     # inside the one conv node, which leaves its input alone
-    for transposed, activation in ((False, "none"), (True, "none"), (False, "tanh"),
-                                   (True, "tanh")):
-        cfg = OperationalLayerConfig(2, 3, kernel=4, q=2, stride=2, padding=1,
-                                     transposed=transposed, activation=activation)
+    for transposed in (False, True):
+        cfg = OperationalLayerConfig(2, 3, kernel=4, q=2, stride=2, padding=1, transposed=transposed)
         layer = OperationalLayer(cfg, np.random.default_rng(14))
         data = np.random.default_rng(15).uniform(-1, 1, (2, 16)).astype(np.float32)
         x = Tensor(data.copy(), requires_grad=True)
@@ -156,10 +145,12 @@ def test_tanh_layer_output_bounded_by_unit_interval():
 def test_preactivation_bound_from_bounded_inputs():
     # |y| <= 1 implies |pre-activation| <= sum|w| + |b| per output channel
     rng = np.random.default_rng(10)
-    cfg = OperationalLayerConfig(2, 3, kernel=5, q=3, stride=1, padding=2, activation="none")
+    cfg = OperationalLayerConfig(2, 3, kernel=5, q=3, stride=1, padding=2)
     layer = OperationalLayer(cfg, rng)
     y = rng.uniform(-1, 1, (2, 40)).astype(np.float32)
-    out = layer(Tensor(y)).data
+    # the paper-form forward leaves out the layer's tanh
+    paper = to_paper_layout(layer.weights.data, cfg.q)
+    out = generative_forward(Tensor(y), paper, layer.biases, 1, 2).data
     # weights are (out, Q*in, K): sum every coefficient feeding one output channel
     bound = np.abs(layer.weights.data).sum(axis=(1, 2)) + np.abs(layer.biases.data)
     assert np.all(np.abs(out) <= bound[:, None] + 1e-6)

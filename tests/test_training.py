@@ -91,8 +91,6 @@ def test_split_unknown_speed_lists_available():
     ({"val_seconds": float("nan")}, "val_seconds"),
     ({"train_seconds": -3.0}, "train_seconds"),
     ({"val_seconds": -2.0}, "val_seconds"),
-    ({"seg_seconds": 0.0}, "seg_seconds"),
-    ({"seg_seconds": -1.0}, "seg_seconds"),
 ])
 def test_split_rejects_bad_durations(kwargs, name):
     # a negative count used to slice from the end, and inf/NaN died in int()
@@ -276,8 +274,7 @@ def test_fused_layers_train_as_the_unfused_composition(trained_detector, monkeyp
         calls.append(layer)
         c = layer.config
         conv = transposed_conv1d if c.transposed else conv1d
-        out = conv(power_stack(y, c.q), layer.weights, layer.biases, c.stride, c.padding)
-        return out.tanh() if c.activation == "tanh" else out
+        return conv(power_stack(y, c.q), layer.weights, layer.biases, c.stride, c.padding).tanh()
 
     detector, split = trained_detector
     cfg = TrainConfig(seed=18, max_iterations=3, val_interval=2, classifier_epochs=2)
@@ -396,20 +393,16 @@ def test_stale_gradients_do_not_reach_the_first_update(trained_detector, monkeyp
             assert np.array_equal(a, b)
 
 
-def test_detector_of_another_dtype_trains_as_with_per_array_adam(trained_detector, monkeypatch):
-    # a float64 detector makes the float32 U-Net's gradients float64
+def test_detector_of_another_dtype_is_a_config_error(trained_detector, monkeypatch):
+    # training runs in one dtype; the mismatch is refused before BLAS is
+    # pinned or a worker is forked
     _, split = trained_detector
-    cfg = TrainConfig(seed=21, max_iterations=1)
     detector = FaultClassifier(l_seg=int(RATE), seed=21, dtype=np.float64)
-    ref_model = OpUNet(l_seg=int(RATE), seed=21)
-    ref = joined_graph_training(split.train, split.val, cfg, detector, ref_model)
-    for workers in (1, 2):
-        _use_workers(monkeypatch, workers)
-        model = OpUNet(l_seg=int(RATE), seed=21)
-        _, history = train_transformer(split.train, split.val, cfg, detector, model=model)
-        assert history == ref
-        for a, b in zip(_weights(model), _weights(ref_model)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    monkeypatch.setattr(training, "_pinned_workers", None)
+    for model in (None, OpUNet(l_seg=int(RATE), seed=21)):
+        with pytest.raises(ConfigError, match="float64 and the model float32"):
+            train_transformer(split.train, split.val, TrainConfig(max_iterations=1), detector,
+                              model=model)
 
 
 def test_trained_parameters_of_two_dtypes_are_a_config_error(trained_detector):
