@@ -270,7 +270,7 @@ def _cmd_train_transformer(opts):
 
 
 def _cmd_synthesize(opts):
-    from .dataio import _normalize_with_flag
+    from .signal import _normalize_with_flag
     from .tensor import Tensor, no_grad
 
     model, meta = _load_kind(opts["model"], OpUNet)

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal import DegenerateSegmentWarning, SegmentPair, Signal, normalize_segment, segment_signal
+from .signal import SegmentPair, Signal, _normalize_with_flag, segment_signal
 
 __all__ = [
     "DataError",
@@ -269,15 +269,6 @@ def _is_file(path):
         return False
 
 
-def _normalize_with_flag(x):
-    degenerate = bool(np.max(x) == np.min(x))
-    if degenerate:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSegmentWarning)
-            return normalize_segment(x), True
-    return normalize_segment(x), False
-
-
 def load_segment_pairs(manifest):
     """Load every manifest entry into normalized 1-second segment pairs.
 
@@ -309,8 +300,8 @@ def load_segment_pairs(manifest):
             vib = Signal(vib.samples[:n], vib.sample_rate_hz)
         for s_raw, v_raw in zip(segment_signal(snd), segment_signal(vib)):
             pairs.append(SegmentPair(
-                sound=_normalize_with_flag(s_raw)[0].astype(np.float32),
-                vibration=_normalize_with_flag(v_raw)[0].astype(np.float32),
+                sound=_normalize_with_flag(s_raw)[0].astype(np.float32, copy=False),
+                vibration=_normalize_with_flag(v_raw)[0].astype(np.float32, copy=False),
                 label=entry.label,
                 speed=entry.speed,
                 sample_rate_hz=snd.sample_rate_hz,

@@ -82,6 +82,15 @@ def normalize_segment(x):
     returned and a :class:`DegenerateSegmentWarning` is emitted (silent
     stretches must not abort a pipeline).
     """
+    out, degenerate = _normalize_with_flag(x)
+    if degenerate:
+        warnings.warn("degenerate (constant) segment mapped to zeros", DegenerateSegmentWarning,
+                      stacklevel=2)
+    return out
+
+
+def _normalize_with_flag(x):
+    """:func:`normalize_segment` without the warning, as ``(segment, degenerate)``."""
     x = np.asarray(x)
     if x.size == 0:
         raise ValueError("cannot normalize an empty segment")
@@ -89,13 +98,10 @@ def normalize_segment(x):
         raise ValueError("cannot normalize a segment containing NaN/Inf")
     lo = x.min()
     hi = x.max()
+    dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float32
     if hi == lo:
-        warnings.warn("degenerate (constant) segment mapped to zeros", DegenerateSegmentWarning,
-                      stacklevel=2)
-        return np.zeros_like(x, dtype=x.dtype if np.issubdtype(x.dtype, np.floating) else np.float32)
-    return (2.0 * (x - lo) / (hi - lo) - 1.0).astype(
-        x.dtype if np.issubdtype(x.dtype, np.floating) else np.float32
-    )
+        return np.zeros_like(x, dtype=dtype), True
+    return (2.0 * (x - lo) / (hi - lo) - 1.0).astype(dtype, copy=False), False
 
 
 def segment_signal(s: Signal, seg_seconds=1.0):

@@ -419,6 +419,15 @@ def _conv_operands(x, weights, bias, stride, padding, q, transposed):
     return x, weights, bias, q
 
 
+def _padded(x, padding):
+    """``(C, L)`` ``x`` zero-padded by ``padding`` columns on each side, C-contiguous."""
+    if not padding:
+        return np.ascontiguousarray(x)
+    xp = np.zeros((x.shape[0], x.shape[1] + 2 * padding), dtype=x.dtype)
+    xp[:, padding : padding + x.shape[1]] = x
+    return xp
+
+
 def _im2col(xp, k, stride, q=1, start=0, l_out=None):
     # xp: C-contiguous (C, L_padded) -> (q*C*K, L_out), channel-major /
     # tap-minor rows, for the windows from column ``start`` on (as many as
@@ -448,6 +457,8 @@ def conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=False):
     ``i*C_in + c`` carries ``x[c]**(i+1)``), formed in the im2col columns; with
     ``tanh`` the output is ``tanh`` of the sum.  Either way the node equals
     ``power_stack`` -> ``conv1d`` -> ``.tanh()`` bit for bit, in one node.
+    The node keeps only its input and output; backward forms the columns
+    and powers again from the input.
     """
     x, weights, bias, q = _conv_operands(x, weights, bias, stride, padding, q, False)
     c_out, qc_in, k = weights.data.shape
@@ -459,20 +470,12 @@ def conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=False):
         )
 
     xd = x.data
-    if padding:
-        xp = np.zeros((c_in, length + 2 * padding), dtype=x.dtype)
-        xp[:, padding : padding + length] = xd
-    else:
-        xp = np.ascontiguousarray(xd)
-    cols = _im2col(xp, k, stride, q)
     w = weights.data
-    out_data = w.reshape(c_out, qc_in * k) @ cols
+    out_data = w.reshape(c_out, qc_in * k) @ _im2col(_padded(xd, padding), k, stride, q)
     if bias is not None:
         out_data += bias.data[:, None]
     if tanh:
         np.tanh(out_data, out=out_data)
-    if not weights.requires_grad:
-        cols = None                            # only the weight gradient reads them
 
     parents = (x, weights) if bias is None else (x, weights, bias)
 
@@ -482,6 +485,8 @@ def conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=False):
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=1))
         if weights.requires_grad:
+            # the columns again, from the input the node keeps: the same bits
+            cols = _im2col(_padded(xd, padding), k, stride, q)
             weights._accumulate((g @ cols.T).reshape(c_out, qc_in, k))
         if x.requires_grad:
             gx = _conv1d_input_grad(g, w, stride, padding, length)
@@ -531,8 +536,9 @@ def transposed_conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=Fals
 
     ``weights`` has shape ``(q*C_in, C_out, K)``; output length is
     ``(L - 1)*stride + K - 2*padding``.  ``q`` and ``tanh`` act as in
-    :func:`conv1d`: the powers are stacked in a buffer the node keeps for
-    its backward, and the tanh runs in place on the biased output.
+    :func:`conv1d`: the powers are stacked in a buffer of their own, which
+    backward forms again from the input rather than the node keeping it, and
+    the tanh runs in place on the biased output.
     """
     x, weights, bias, q = _conv_operands(x, weights, bias, stride, padding, q, True)
     qc_in, c_out, k = weights.data.shape
@@ -545,9 +551,9 @@ def transposed_conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=Fals
             f"taps {k}, stride {stride}, padding {padding}"
         )
 
-    xs = _powers(x.data, q) if q > 1 else x.data
+    xd = x.data
     w2 = weights.data.reshape(qc_in, c_out * k)
-    cols = (w2.T @ xs).reshape(c_out, k, length)
+    cols = (w2.T @ (_powers(xd, q) if q > 1 else xd)).reshape(c_out, k, length)
     # tap r adds cols[:, r] to stride phase t = r % stride of ``full``, from
     # phase entry r // stride on; per phase the first tap is assigned, the
     # tail it leaves zeroed and the later taps added in ascending order: the
@@ -578,6 +584,7 @@ def transposed_conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=Fals
         gfull = np.zeros((c_out, l_full), dtype=g.dtype)
         gfull[:, padding : l_full - padding] = g
         gcols_m = _im2col(gfull, k, stride)
+        xs = _powers(xd, q) if q > 1 else xd   # formed again, not kept
         if weights.requires_grad:
             weights._accumulate((xs @ gcols_m.T).reshape(qc_in, c_out, k))
         if x.requires_grad:

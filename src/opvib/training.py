@@ -325,7 +325,7 @@ class _Workers:
         try:
             for k in range(1, count):
                 conn, child_conn = context.Pipe()
-                proc = context.Process(target=self._serve, args=(k, child_conn), daemon=True)
+                proc = context.Process(target=self._serve, args=(k, child_conn, conn), daemon=True)
                 proc.start()
                 # the parent keeps no copy of the child's end, so a dead
                 # child reads as EOF rather than a hang
@@ -349,9 +349,14 @@ class _Workers:
         results = self.tasks[name](self._claim(k, items, taken))
         return taken, results
 
-    def _serve(self, k, conn):
+    def _serve(self, k, conn, parent_end):
         # Ctrl-C reaches the whole process group; the parent stops its children
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # the fork copied the parent's ends of this child's pipe and of the
+        # earlier children's; closed here, the parent's death reads as EOF
+        parent_end.close()
+        for _, other in self.children:
+            other.close()
         while True:
             try:
                 job = conn.recv()

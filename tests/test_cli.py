@@ -200,6 +200,15 @@ def test_synthesize_pads_partial_tail(transformer_ckpt, tmp_path):
     assert load_recording(out).samples.size == RATE + 40
 
 
+def test_synthesize_counts_constant_segments(transformer_ckpt, tmp_path, capsys):
+    sound = np.random.default_rng(1).uniform(-1, 1, 3 * RATE).astype(np.float32)
+    sound[RATE : 2 * RATE] = 0.5
+    write_wav(tmp_path / "s.wav", Signal(sound, RATE))
+    assert run(["synthesize", "--model", str(transformer_ckpt),
+                "--sound", str(tmp_path / "s.wav"), "--out", str(tmp_path / "y.wav")]) == 0
+    assert "synthesized 3 segments (1 degenerate)" in capsys.readouterr().out
+
+
 def test_synthesize_rate_mismatch_exits_1(transformer_ckpt, tmp_path, capsys):
     src = tmp_path / "wrong_rate.wav"
     write_wav(src, Signal(np.zeros(RATE, dtype=np.float32), RATE * 2))

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,21 @@ def test_pair_rate_mismatch_is_error(tmp_path):
     mpath.write_text("s.wav\tv.wav\thealthy\tm1\t480\tL1\tacc1\t1.0\n")
     with pytest.raises(DataError, match="sample rates differ"):
         load_segment_pairs(mpath)
+
+
+def test_constant_segments_load_as_zeros_without_a_warning(tmp_path):
+    vibration = np.random.default_rng(5).uniform(-1, 1, 64).astype(np.float32)
+    write_wav(tmp_path / "s.wav", Signal(np.full(64, 0.25, dtype=np.float32), 32))
+    write_wav(tmp_path / "v.wav", Signal(vibration, 32))
+    mpath = tmp_path / "m.tsv"
+    mpath.write_text("s.wav\tv.wav\thealthy\tm1\t480\tL1\tacc1\t2.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = load_segment_pairs(mpath)
+    assert len(pairs) == 2
+    for p in pairs:
+        assert p.sound.dtype == np.float32 and not p.sound.any()
+        assert p.vibration.min() == -1.0 and p.vibration.max() == 1.0
 
 
 def test_loaded_pairs_are_normalized(tmp_path):

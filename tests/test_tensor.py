@@ -260,24 +260,27 @@ def test_transposed_conv_output_equals_per_tap_scatter(c_in, c_out, length, k, s
 
 
 def test_frozen_conv_weights_keep_no_columns_for_backward():
-    # only the weight gradient reads the im2col columns; with frozen weights
-    # the backward closure must not hold them, and the other gradients stay
+    # a conv node keeps its input, weights and output, and backward forms the
+    # im2col columns and input powers again, whether or not the weights
+    # train; the other gradients do not depend on it
     rng = np.random.default_rng(29)
     x_data = rng.standard_normal((3, 50)).astype(np.float32)
-    w_data = rng.standard_normal((4, 3, 5)).astype(np.float32)
     b_data = rng.standard_normal(4).astype(np.float32)
-    grads = {}
-    for frozen in (False, True):
-        x = Tensor(x_data, requires_grad=True)
-        w = Tensor(w_data, requires_grad=not frozen)
-        b = Tensor(b_data, requires_grad=True)
-        out = conv1d(x, w, b, stride=2, padding=2)
-        held = [cell.cell_contents for cell in out._backward.__closure__]
-        has_cols = any(isinstance(v, np.ndarray) and v.shape == (3 * 5, out.shape[1]) for v in held)
-        assert has_cols is not frozen
-        out.tanh().sum().backward()
-        grads[frozen] = (x.grad, b.grad)
-    assert all(np.array_equal(a, b) for a, b in zip(grads[False], grads[True]))
+    for op, w_shape in ((conv1d, (4, 6, 5)), (transposed_conv1d, (6, 4, 5))):
+        w_data = rng.standard_normal(w_shape).astype(np.float32)
+        grads = {}
+        for frozen in (False, True):
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=not frozen)
+            b = Tensor(b_data, requires_grad=True)
+            out = op(x, w, b, stride=2, padding=2, q=2)
+            held = [cell.cell_contents for cell in out._backward.__closure__]
+            for v in held:
+                if isinstance(v, np.ndarray):
+                    assert any(np.shares_memory(v, t.data) for t in (x, w, out)), (op, v.shape)
+            out.tanh().sum().backward()
+            grads[frozen] = (x.grad, b.grad)
+        assert all(np.array_equal(a, b) for a, b in zip(grads[False], grads[True]))
 
 
 def test_forward_is_bit_reproducible():

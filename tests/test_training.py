@@ -8,13 +8,15 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from opvib import optim, training
 from opvib.dataio import SyntheticSpec, generate_synthetic, load_segment_pairs
-from opvib.models import ConfigError, FaultClassifier, OpUNet, parameter_count
+from opvib.losses import loss_class, loss_total
+from opvib.models import CLASS_TARGETS, ConfigError, FaultClassifier, OpUNet, parameter_count
 from opvib.selfonn import OperationalLayer
 from opvib.signal import SegmentPair
 from opvib.tensor import conv1d, power_stack, transposed_conv1d
@@ -335,6 +337,88 @@ def test_a_slow_worker_takes_fewer_items():
     assert [i for i, _ in results] == list(range(10))
     assert [i for i, by_caller in results if not by_caller] == [1]
     assert multiprocessing.active_children() == []
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; a zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self") or not training._can_fork(),
+                    reason="needs fork and /proc")
+def test_a_worker_exits_when_its_parent_is_killed(tmp_path):
+    # the parent writes its child's pid to a file: its stdout would not
+    # close while an orphaned child holds it open
+    pid_file = tmp_path / "child.pid"
+    script = f"""
+import os, time
+from opvib import training
+workers = training._Workers(2, {{}})
+with open({str(pid_file) + ".tmp"!r}, "w") as f:
+    f.write(str(workers.children[0][0].pid))
+os.replace({str(pid_file) + ".tmp"!r}, {str(pid_file)!r})
+time.sleep(120)
+"""
+    parent = subprocess.Popen([sys.executable, "-c", script], env=opvib_subprocess_env(),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() and parent.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert pid_file.exists(), f"the parent wrote no pid (exit code {parent.poll()})"
+        child = int(pid_file.read_text())
+        parent.kill()
+        parent.wait(10)
+        deadline = time.monotonic() + 10
+        while _running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(child), "the worker outlived its killed parent"
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(10)
+        if child is not None and _running(child):
+            os.kill(child, signal.SIGKILL)
+
+
+def _graph_mib(build):
+    """MiB that the graph ``build()`` returns holds, by tracemalloc, after a warm-up call."""
+    build()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graph = build()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert graph.requires_grad
+    return held / 2**20
+
+
+def test_a_stock_training_sample_graph_keeps_no_derived_buffers():
+    # the graph of one stock-size (4096-sample) sample keeps the layers'
+    # inputs and outputs, not the im2col columns or input powers backward
+    # can form again: about 1.4 MiB cascaded and 0.06 MiB for the detector,
+    # against 5.9 and 1.8 MiB with those buffers kept
+    rng = np.random.default_rng(0)
+    pair = SegmentPair(rng.uniform(-1, 1, 4096).astype(np.float32),
+                       rng.uniform(-1, 1, 4096).astype(np.float32), "faulty")
+    model, detector = OpUNet(seed=0), FaultClassifier(seed=0)
+    lam = TrainConfig().lam
+    with training._frozen([t for _, t in detector.parameters()]):
+        fixed = training._pair_constants([pair], detector)[0]
+        cascaded = _graph_mib(
+            lambda: loss_total(*training._sample_losses(model, detector, pair, fixed), lam))
+    assert cascaded < 2.0
+    scores = _graph_mib(lambda: loss_class(CLASS_TARGETS[pair.label],
+                                           detector(pair.vibration.reshape(1, -1))))
+    assert scores < 0.25
 
 
 def test_adam_steps_once_per_update_in_the_caller(small_dataset, monkeypatch):
