@@ -10,17 +10,16 @@ operational layer ends in tanh).
 import numpy as np
 
 from opvib import Adam, OperationalLayer, OperationalLayerConfig, Tensor, conv1d
-from opvib.selfonn import generative_forward
 
 rng = np.random.default_rng(0)
 
 # --- 1. first-order layers reduce to convolutions --------------------------------
 
 y = rng.uniform(-1, 1, (2, 64)).astype(np.float32)
-w = rng.standard_normal((1, 3, 2, 5)).astype(np.float32)
-b = rng.standard_normal(3).astype(np.float32)
-gen = generative_forward(Tensor(y), Tensor(w), Tensor(b), stride=1, padding=2)
-ref = conv1d(Tensor(y), Tensor(w[0]), Tensor(b), stride=1, padding=2)
+layer = OperationalLayer(OperationalLayerConfig(2, 3, kernel=5, q=1, padding=2), rng)
+layer.biases.data[:] = rng.standard_normal(3)
+gen = layer(Tensor(y))
+ref = conv1d(Tensor(y), layer.weights, layer.biases, stride=1, padding=2).tanh()
 print("Q=1 layer vs plain conv, max |diff|:", np.abs(gen.data - ref.data).max())
 
 # --- 2. a cubic under the tanh needs the higher-order terms -------------------------

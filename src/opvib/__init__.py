@@ -17,12 +17,7 @@ from .tensor import (
     power_spectrum,
 )
 from .optim import Adam
-from .selfonn import (
-    OperationalLayer,
-    OperationalLayerConfig,
-    generative_forward,
-    transposed_generative_forward,
-)
+from .selfonn import OperationalLayer, OperationalLayerConfig
 from .signal import (
     DegenerateSegmentWarning,
     SegmentPair,

@@ -336,7 +336,7 @@ def _cmd_benchmark(opts):
     rng = np.random.default_rng(opts["seed"])
     segment = rng.uniform(-1.0, 1.0, model.l_seg).astype(np.float32)
     median_ms = benchmark_inference(model, segment, opts["reps"])
-    rtf = real_time_factor(median_ms, seg_seconds=1.0)
+    rtf = real_time_factor(median_ms)
     if opts["json"]:
         print(json.dumps({"median_ms": median_ms, "real_time_factor": rtf,
                           "repetitions": opts["reps"],

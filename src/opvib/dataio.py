@@ -200,11 +200,7 @@ class ManifestEntry:
     sound_path: Path
     vibration_path: Path
     label: str
-    machine_id: str
     speed: float
-    load: str
-    sensor_id: str
-    duration_seconds: float
 
 
 @dataclass
@@ -216,8 +212,8 @@ class DatasetManifest:
 def load_manifest(path):
     """Parse and validate a manifest; every referenced file must exist."""
     path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"{path}: no such manifest")
+    if not _is_file(path):
+        raise ManifestError(f"{path}: no such manifest, or not a regular file")
     base = path.parent
     entries = []
     try:
@@ -251,13 +247,12 @@ def load_manifest(path):
                     f"{path}:{lineno}: non-numeric speed {fields[4]!r}"
                 ) from exc
             try:
-                duration = float(fields[7])
+                float(fields[7])
             except ValueError as exc:
                 raise ManifestError(
                     f"{path}:{lineno}: non-numeric duration {fields[7]!r}"
                 ) from exc
-            entries.append(ManifestEntry(sound_p, vib_p, label, fields[3], speed,
-                                         fields[5], fields[6], duration))
+            entries.append(ManifestEntry(sound_p, vib_p, label, speed))
     return DatasetManifest(path, entries)
 
 
@@ -276,7 +271,7 @@ def load_segment_pairs(manifest):
     each recording.  Length mismatches are truncated to the shorter stream
     with a warning; sample-rate mismatches are errors.  A pair carries its
     entry's label and speed; the machine, load and sensor columns are
-    checked only for presence.
+    checked only for presence, and the duration only for being a number.
     """
     if not isinstance(manifest, DatasetManifest):
         manifest = load_manifest(manifest)
@@ -309,30 +304,31 @@ def load_segment_pairs(manifest):
     return pairs
 
 
+# the vibration is the sound through these taps; the fault harmonic reaches
+# the sound at this share of its vibration level; segments cycle through these
+# speeds, which only label the manifest rows
+FIR_TAPS = (0.15, 0.45, 0.8, 0.45, 0.15)
+FAULT_IN_SOUND = 0.6
+SPEEDS = (480.0, 680.0, 1010.0)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Deterministic recipe for a paired synthetic dataset."""
+    """Deterministic recipe for a paired synthetic dataset of 1-second segments."""
 
     seed: int = 0
     num_healthy: int = 16
     num_faulty: int = 16
     sample_rate: float = 4096.0
-    segment_seconds: float = 1.0
     base_freqs: tuple = (176.0, 368.0, 752.0)
     fault_freq: float = 640.0
     fault_amp: float = 0.8
     fault_repeat_hz: float = 32.0
-    fault_in_sound: float = 0.6
     noise_level: float = 0.02
-    fir_taps: tuple = (0.15, 0.45, 0.8, 0.45, 0.15)
-    speeds: tuple = (480.0, 680.0, 1010.0)
-    machine_id: str = "synthA"
-    load: str = "0.20kN"
-    sensor_id: str = "acc1"
 
 
 def _synthesize_pair(spec: SyntheticSpec, rng, faulty: bool):
-    n = int(round(spec.sample_rate * spec.segment_seconds))
+    n = int(round(spec.sample_rate))
     t = np.arange(n) / spec.sample_rate
     sound = np.zeros(n)
     for f in spec.base_freqs:
@@ -345,11 +341,11 @@ def _synthesize_pair(spec: SyntheticSpec, rng, faulty: bool):
     if faulty:
         env = 0.5 * (1.0 - np.cos(2.0 * np.pi * spec.fault_repeat_hz * t))
         impact = env * np.sin(2.0 * np.pi * spec.fault_freq * t)
-        sound = sound + spec.fault_in_sound * spec.fault_amp * impact
+        sound = sound + FAULT_IN_SOUND * spec.fault_amp * impact
     # round the sound to its stored precision first so the written vibration
     # equals FIR(stored sound) exactly in the clean case
     sound32 = sound.astype(np.float32)
-    vibration = np.convolve(sound32.astype(np.float64), np.asarray(spec.fir_taps, dtype=float),
+    vibration = np.convolve(sound32.astype(np.float64), np.asarray(FIR_TAPS, dtype=float),
                             mode="same")
     if faulty:
         vibration = vibration + spec.fault_amp * impact
@@ -360,7 +356,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
     """Write the synthetic dataset (float32 WAVs + manifest.tsv); returns the manifest.
 
     Labels alternate while both classes remain and speeds cycle through
-    ``spec.speeds``, so any chronological prefix carries both classes and
+    :data:`SPEEDS`, so any chronological prefix carries both classes and
     every speed.  Identical ``spec`` (including seed) yields byte-identical
     files.
     """
@@ -371,14 +367,10 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
         raise DataError("synthetic spec requests zero segments")
     if not (np.isfinite(spec.sample_rate) and spec.sample_rate > 0):
         raise DataError(f"synthetic spec needs a finite, positive sample rate, got {spec.sample_rate}")
-    if not (np.isfinite(spec.segment_seconds) and spec.segment_seconds > 0):
-        raise DataError("synthetic spec needs a finite, positive segment duration, "
-                        f"got {spec.segment_seconds} s")
-    n = int(round(spec.sample_rate * spec.segment_seconds))
-    if n < len(spec.fir_taps):
-        raise DataError(f"synthetic segments of {n} samples ({spec.sample_rate:g} Hz x "
-                        f"{spec.segment_seconds:g} s) are shorter than the "
-                        f"{len(spec.fir_taps)} FIR taps")
+    n = int(round(spec.sample_rate))
+    if n < len(FIR_TAPS):
+        raise DataError(f"synthetic segments of {n} samples (1 s at {spec.sample_rate:g} Hz) "
+                        f"are shorter than the {len(FIR_TAPS)} FIR taps")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
@@ -401,14 +393,10 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
         v_name = f"seg{i:04d}_vib.wav"
         write_wav(out_dir / s_name, Signal(sound, spec.sample_rate))
         write_wav(out_dir / v_name, Signal(vibration, spec.sample_rate))
-        speed = spec.speeds[i % len(spec.speeds)]
-        rows.append("\t".join([
-            s_name, v_name, label, spec.machine_id, f"{speed:g}",
-            spec.load, spec.sensor_id, f"{spec.segment_seconds:.3f}",
-        ]))
-        entries.append(ManifestEntry(out_dir / s_name, out_dir / v_name, label,
-                                     spec.machine_id, float(speed), spec.load,
-                                     spec.sensor_id, spec.segment_seconds))
+        speed = SPEEDS[i % len(SPEEDS)]
+        rows.append("\t".join([s_name, v_name, label, "synthA", f"{speed:g}", "0.20kN", "acc1",
+                               "1.000"]))
+        entries.append(ManifestEntry(out_dir / s_name, out_dir / v_name, label, speed))
     manifest_path = out_dir / "manifest.tsv"
     header = "# sound\tvibration\tlabel\tmachine_id\tspeed_rpm\tload\tsensor_id\tduration_s"
     manifest_path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")

@@ -127,6 +127,6 @@ def benchmark_inference(model, segment, repetitions=50, warmup=5):
     return statistics.median(times)
 
 
-def real_time_factor(median_ms, seg_seconds=1.0):
-    """How many times faster than real time a segment is synthesized."""
-    return 1000.0 * seg_seconds / median_ms
+def real_time_factor(median_ms):
+    """How many times faster than real time a 1-second segment is synthesized."""
+    return 1000.0 / median_ms

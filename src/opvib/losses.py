@@ -26,7 +26,6 @@ __all__ = [
     "stft_magnitude",
     "loss_time",
     "loss_stft",
-    "loss_magnitude",
     "loss_class",
     "loss_total",
     "MAGNITUDE_EPS",
@@ -55,14 +54,10 @@ def loss_time(y, synth):
     return (y.reshape(-1) - synth.reshape(-1)).abs().mean()
 
 
-def loss_stft(y, synth):
-    """Mean absolute error between the magnitude spectra of two segments."""
-    return loss_magnitude(stft_magnitude(y), synth)
-
-
-def loss_magnitude(target, synth):
-    """:func:`loss_stft` against ``target``, a magnitude spectrogram computed
-    beforehand by :func:`stft_magnitude`, so a fixed target is transformed once."""
+def loss_stft(target, synth):
+    """Mean absolute error between the magnitude spectrogram ``target``, computed
+    beforehand by :func:`stft_magnitude` so a fixed target is transformed once,
+    and that of the segment ``synth``."""
     target = _as_tensor(target)
     ms = stft_magnitude(synth)
     if target.data.shape != ms.data.shape:

@@ -100,9 +100,6 @@ class DenseLayer:
     def __call__(self, x):
         return (x @ self.weights + self.biases).tanh()
 
-    def parameters(self):
-        return [self.weights, self.biases]
-
 
 class OpUNet:
     """Length-preserving encoder/decoder of operational layers with skips.

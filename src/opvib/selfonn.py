@@ -16,10 +16,9 @@ upsampling analogue used by decoder stages.
 
 An :class:`OperationalLayer` runs as one graph node: the powers, the bias
 and the tanh are formed inside :func:`conv1d` / :func:`transposed_conv1d`.
-:func:`generative_forward` and :func:`transposed_generative_forward` compose
-the same steps as separate nodes (:func:`power_stack`, the convolution, then
-``.tanh()`` by the caller); they are the paper-form reference the layer is
-tested against, and give the same bits.
+The paper-form reference, the same steps as separate nodes (the powers, a
+plain convolution, then the tanh), lives in the test suite
+(``tests/util.py``); the layer gives its bits.
 """
 
 from __future__ import annotations
@@ -28,19 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    conv1d,
-    power_stack,
-    transposed_conv1d,
-)
+from .tensor import Tensor, conv1d, transposed_conv1d
 
 __all__ = [
     "OperationalLayerConfig",
     "OperationalLayer",
-    "generative_forward",
-    "transposed_generative_forward",
     "init_generative_weights",
     "to_gemm_layout",
     "to_paper_layout",
@@ -90,7 +81,6 @@ def to_gemm_layout(weights, transposed=False):
     Returns ``(out, Q*in, K)`` for :func:`conv1d`, or ``(Q*in, out, K)`` for
     :func:`transposed_conv1d` when ``transposed``; stacked channel
     ``q*in + c`` carries ``w[q, :, c, :]``, matching :func:`power_stack`.
-    Works on arrays and on :class:`Tensor` (differentiably).
     """
     q, out_ch, in_ch, k = weights.shape
     if transposed:
@@ -99,41 +89,12 @@ def to_gemm_layout(weights, transposed=False):
 
 
 def to_paper_layout(weights, q, transposed=False):
-    """Inverse of :func:`to_gemm_layout` for arrays: back to ``(Q, out, in, K)``."""
+    """Inverse of :func:`to_gemm_layout`: back to ``(Q, out, in, K)``."""
     if transposed:
         qin, out_ch, k = weights.shape
         return weights.reshape(q, qin // q, out_ch, k).transpose(0, 2, 1, 3)
     out_ch, qin, k = weights.shape
     return weights.reshape(out_ch, q, qin // q, k).transpose(1, 0, 2, 3)
-
-
-def _check_paper_weights(weights):
-    weights = weights if isinstance(weights, Tensor) else Tensor(weights)
-    if weights.data.ndim != 4:
-        raise ShapeError(f"generative weights must be (Q, out, in, K), got {weights.shape}")
-    return weights
-
-
-def generative_forward(y, weights, biases=None, stride=1, padding=0):
-    """Forward pass of a generative layer (sum of Q convolutions of input powers).
-
-    ``weights`` is ``(Q, out, in, K)``; channel count of ``y`` must equal ``in``.
-    This paper-form reference builds separate nodes for the power stack and
-    the convolution, re-lays the kernels on every call and leaves the tanh
-    to the caller; :class:`OperationalLayer` keeps the kernels in GEMM
-    layout and runs powers, bias and tanh inside the one conv node instead.
-    """
-    weights = _check_paper_weights(weights)
-    stacked = power_stack(y, weights.shape[0])
-    return conv1d(stacked, to_gemm_layout(weights), biases, stride, padding)
-
-
-def transposed_generative_forward(y, weights, biases=None, stride=1, padding=0):
-    """Transposed (upsampling) analogue: sum of Q adjoint convolutions of powers."""
-    weights = _check_paper_weights(weights)
-    stacked = power_stack(y, weights.shape[0])
-    return transposed_conv1d(stacked, to_gemm_layout(weights, transposed=True), biases,
-                             stride, padding)
 
 
 class OperationalLayer:

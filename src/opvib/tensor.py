@@ -12,7 +12,9 @@ repeated runs are bit-identical on the same machine.  The convolutions can
 also run a whole generative layer as one node: the input powers ``x**1 ..
 x**q``, the bias and the tanh are formed inside the kernel, with the same
 operations in the same order as :func:`power_stack`, a plain convolution and
-:meth:`Tensor.tanh` composed, so the result is bit-identical to theirs.
+:meth:`Tensor.tanh` composed, so the result is bit-identical to theirs.  The
+paper-form reference that composes those steps as separate nodes lives in
+the test suite (``tests/util.py``).
 Training numerics default to float32; gradient verification against finite
 differences is done in float64 by the test suite.
 """
@@ -163,9 +165,6 @@ class Tensor:
             raise UsageError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(-1)[0])
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
     # -- elementwise arithmetic ----------------------------------------------
 
     def __add__(self, other):
@@ -202,11 +201,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-_coerce(other, self.dtype))
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise UsageError("tensor/tensor division is not part of the op set; multiply by a reciprocal")
-        return self * (1.0 / float(scalar))
 
     def __matmul__(self, other):
         other = _coerce(other, self.dtype)
@@ -251,14 +245,6 @@ class Tensor:
 
         return Tensor._result(out_data, (self,), backward)
 
-    def sum(self):
-        out_data = np.asarray(self.data.sum(), dtype=self.dtype)
-
-        def backward(g):
-            self._accumulate(np.full(self.data.shape, float(g), dtype=self.dtype))
-
-        return Tensor._result(out_data, (self,), backward)
-
     def mean(self):
         n = self.data.size
         out_data = np.asarray(self.data.mean(), dtype=self.dtype)
@@ -276,17 +262,6 @@ class Tensor:
 
         def backward(g):
             self._accumulate(g.reshape(old))
-
-        return Tensor._result(out_data, (self,), backward)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inverse = tuple(np.argsort(axes))
-        out_data = np.ascontiguousarray(self.data.transpose(axes))
-
-        def backward(g):
-            self._accumulate(g.transpose(inverse))
 
         return Tensor._result(out_data, (self,), backward)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import compute_metrics
-from .losses import loss_class, loss_magnitude, loss_time, loss_total, stft_magnitude
+from .losses import loss_class, loss_stft, loss_time, loss_total, stft_magnitude
 from .models import CLASS_TARGETS, ConfigError, FaultClassifier, OpUNet, predict_label
 from .optim import Adam
 from .tensor import no_grad
@@ -646,7 +646,7 @@ def _sample_losses(model, detector, pair, fixed):
     """
     magnitude, real_scores = fixed
     synth = model(pair.sound.reshape(1, -1))
-    return (loss_time(pair.vibration, synth), loss_magnitude(magnitude, synth),
+    return (loss_time(pair.vibration, synth), loss_stft(magnitude, synth),
             loss_class(real_scores, detector(synth)))
 
 

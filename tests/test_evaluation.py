@@ -96,7 +96,7 @@ def test_benchmark_reports_positive_median(small_model):
     segment = np.zeros(256, dtype=np.float32)
     ms = benchmark_inference(small_model, segment, repetitions=15, warmup=2)
     assert ms > 0.0
-    assert real_time_factor(ms, seg_seconds=1.0) == 1000.0 / ms
+    assert real_time_factor(ms) == 1000.0 / ms
 
 
 def test_benchmark_is_reasonably_stable(monkeypatch):

@@ -28,7 +28,7 @@ def test_time_loss_length_mismatch():
 
 def test_stft_loss_zero_for_identical_segments():
     x = np.random.default_rng(0).standard_normal(512)
-    assert loss_stft(x, x).item() == 0.0
+    assert loss_stft(stft_magnitude(x), x).item() == 0.0
 
 
 def test_stft_loss_of_sinusoid_vs_silence_matches_brute_dft():
@@ -38,7 +38,7 @@ def test_stft_loss_of_sinusoid_vs_silence_matches_brute_dft():
     # the softened magnitude sqrt(m^2 + 1e-12) offsets each bin by <= 1e-6
     oracle_mag = np.abs(brute_dft(y * hann_window(n)))
     expected = float(oracle_mag.mean())
-    got = loss_stft(y, np.zeros(n)).item()
+    got = loss_stft(stft_magnitude(y), np.zeros(n)).item()
     assert abs(got - expected) < 1e-6
 
 
@@ -46,9 +46,11 @@ def test_stft_loss_nonnegative_and_short_segment_errors():
     rng = np.random.default_rng(1)
     for _ in range(10):
         a, b = rng.standard_normal(300), rng.standard_normal(300)
-        assert loss_stft(a, b).item() >= 0.0
+        assert loss_stft(stft_magnitude(a), b).item() >= 0.0
     with pytest.raises(ShapeError):
-        loss_stft(np.zeros(100), np.zeros(100))
+        loss_stft(stft_magnitude(np.zeros(100)), np.zeros(100))
+    with pytest.raises(ShapeError):
+        loss_stft(np.zeros(300), np.zeros(300))    # a raw segment is not a spectrogram
 
 
 def test_class_loss_examples():
@@ -76,7 +78,7 @@ def test_losses_zero_iff_equal():
     y = rng.standard_normal(512)
     s = y + 1e-3 * rng.standard_normal(512)
     assert loss_time(y, s).item() > 0.0
-    assert loss_stft(y, s).item() > 0.0
+    assert loss_stft(stft_magnitude(y), s).item() > 0.0
     assert loss_class([1.0, 0.0], [1.0, 1e-6]).item() > 0.0
 
 
@@ -94,7 +96,7 @@ def test_loss_gradients_match_finite_differences():
     synth = Tensor(rng.standard_normal(512), requires_grad=True, dtype=np.float64)
     assert fd_gradcheck(lambda: loss_time(y, synth), [synth], rng, n_points=50) < 1e-4
     # spectral path differentiates through the softened magnitude
-    assert fd_gradcheck(lambda: loss_stft(y, synth), [synth], rng, n_points=50) < 1e-4
+    assert fd_gradcheck(lambda: loss_stft(stft_magnitude(y), synth), [synth], rng, n_points=50) < 1e-4
     scores = Tensor(rng.standard_normal(2), requires_grad=True, dtype=np.float64)
     assert fd_gradcheck(lambda: loss_class([0.2, -0.8], scores), [scores], rng) < 1e-4
 
@@ -107,7 +109,7 @@ def test_total_gradient_flows_through_all_terms():
 
     def full_loss():
         t = loss_time(y, synth)
-        s = loss_stft(y, synth)
+        s = loss_stft(stft_magnitude(y), synth)
         c = loss_class([0.1, -0.1], (synth.reshape(1, -1) @ proj).reshape(-1))
         return loss_total(t, s, c, lam=100.0)
 

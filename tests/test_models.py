@@ -22,9 +22,9 @@ from opvib.models import (
     save_checkpoint,
 )
 from opvib.optim import Adam
-from opvib.selfonn import OperationalLayer, generative_forward, transposed_generative_forward
+from opvib.selfonn import OperationalLayer, to_gemm_layout
 from opvib.tensor import ShapeError, Tensor, no_grad
-from util import checkpoint_arrays, checkpoint_parts, with_descriptor
+from util import checkpoint_arrays, checkpoint_parts, generative_reference, with_descriptor
 
 # sha256 and size of save_checkpoint(Model(seed=0), path, meta={"seed": 0}); the
 # bytes were first written when layers held (Q, out, in, K) kernels in memory
@@ -292,11 +292,11 @@ def test_checkpoint_keeps_golden_bytes_and_paper_form_forward(tmp_path, klass):
         if not isinstance(layer, OperationalLayer):
             continue
         c = layer.config
-        reference = transposed_generative_forward if c.transposed else generative_forward
         y = Tensor(rng.uniform(-1, 1, (c.in_channels, 64)).astype(np.float32))
         with no_grad():
-            expected = reference(y, stored[f"{prefix}.weights"], stored[f"{prefix}.biases"],
-                                 c.stride, c.padding).tanh()
+            expected = generative_reference(
+                y, to_gemm_layout(stored[f"{prefix}.weights"], c.transposed),
+                stored[f"{prefix}.biases"], c.stride, c.padding, c.transposed).tanh()
             assert np.array_equal(layer(y).data, expected.data), prefix
 
 

@@ -4,14 +4,12 @@ import pytest
 from opvib.selfonn import (
     OperationalLayer,
     OperationalLayerConfig,
-    generative_forward,
     init_generative_weights,
     to_gemm_layout,
     to_paper_layout,
-    transposed_generative_forward,
 )
 from opvib.tensor import ShapeError, Tensor, conv1d, no_grad, transposed_conv1d
-from util import fd_gradcheck
+from util import fd_gradcheck, generative_reference
 
 
 def test_generative_direct_evaluation():
@@ -20,7 +18,7 @@ def test_generative_direct_evaluation():
     w[0, 0, 0, 0] = 1.0
     w[0, 0, 0, 1] = 2.0
     w[1, 0, 0, 0] = 1.0
-    out = generative_forward(Tensor([[0.5, -0.5]]), Tensor(w), Tensor([0.0]))
+    out = generative_reference(Tensor([[0.5, -0.5]]), to_gemm_layout(w), Tensor([0.0]))
     assert np.allclose(out.data, [[-0.25]])
 
 
@@ -34,7 +32,7 @@ def test_q1_reduces_to_plain_convolution():
         y = rng.uniform(-1, 1, (c_in, length)).astype(np.float32)
         w = rng.standard_normal((1, c_out, c_in, k)).astype(np.float32)
         b = rng.standard_normal(c_out).astype(np.float32)
-        gen = generative_forward(Tensor(y), Tensor(w), Tensor(b)).data
+        gen = generative_reference(Tensor(y), to_gemm_layout(w), Tensor(b)).data
         ref = conv1d(Tensor(y), Tensor(w[0]), Tensor(b)).data
         assert np.abs(gen - ref).max() < 1e-6
 
@@ -42,7 +40,7 @@ def test_q1_reduces_to_plain_convolution():
 def test_zero_input_yields_bias_broadcast():
     w = np.random.default_rng(0).standard_normal((3, 2, 1, 4)).astype(np.float32)
     b = np.array([0.25, -1.5], dtype=np.float32)
-    out = generative_forward(Tensor(np.zeros((1, 9), dtype=np.float32)), Tensor(w), Tensor(b))
+    out = generative_reference(Tensor(np.zeros((1, 9), dtype=np.float32)), to_gemm_layout(w), Tensor(b))
     assert np.allclose(out.data, b[:, None] * np.ones((2, out.data.shape[1])))
 
 
@@ -52,8 +50,8 @@ def test_monotone_capacity_zero_q2_slice_equals_q1():
     w1 = rng.standard_normal((1, 3, 2, 3)).astype(np.float32)
     w2 = np.concatenate([w1, np.zeros_like(w1)], axis=0)
     b = rng.standard_normal(3).astype(np.float32)
-    out1 = generative_forward(Tensor(y), Tensor(w1), Tensor(b), 1, 1).data
-    out2 = generative_forward(Tensor(y), Tensor(w2), Tensor(b), 1, 1).data
+    out1 = generative_reference(Tensor(y), to_gemm_layout(w1), Tensor(b), 1, 1).data
+    out2 = generative_reference(Tensor(y), to_gemm_layout(w2), Tensor(b), 1, 1).data
     assert np.array_equal(out1, out2)
 
 
@@ -61,7 +59,7 @@ def test_transposed_q1_reduces_to_plain_transposed_conv():
     rng = np.random.default_rng(9)
     y = rng.uniform(-1, 1, (3, 8)).astype(np.float32)
     w = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)   # (Q, out, in, K)
-    gen = transposed_generative_forward(Tensor(y), Tensor(w), None, 2, 1).data
+    gen = generative_reference(Tensor(y), to_gemm_layout(w, True), None, 2, 1, transposed=True).data
     ref = transposed_conv1d(Tensor(y), Tensor(w[0].transpose(1, 0, 2)), None, 2, 1).data
     assert np.abs(gen - ref).max() < 1e-6
 
@@ -70,7 +68,7 @@ def test_transposed_zero_weights_is_bias_only():
     w = np.zeros((2, 3, 2, 4), dtype=np.float32)   # (Q, out, in, K)
     b = np.array([0.5, -0.25, 2.0], dtype=np.float32)
     y = np.random.default_rng(0).uniform(-1, 1, (2, 6)).astype(np.float32)
-    out = transposed_generative_forward(Tensor(y), Tensor(w), Tensor(b), 2, 1).data
+    out = generative_reference(Tensor(y), to_gemm_layout(w, True), Tensor(b), 2, 1, transposed=True).data
     assert np.array_equal(out, np.repeat(b[:, None], out.shape[1], axis=1))
 
 
@@ -95,22 +93,23 @@ def test_same_padding_stride1_preserves_length():
 
 
 def test_layers_equal_the_paper_form_reference():
-    # the stored GEMM-layout kernels, laid back out as (Q, out, in, K), give the
-    # paper-form forward bit for bit, strided and transposed, with tanh
+    # the stored GEMM-layout kernels, laid out as (Q, out, in, K) and back,
+    # give the paper-form forward bit for bit, strided and transposed, with tanh
     rng = np.random.default_rng(13)
     cases = [
-        (OperationalLayerConfig(3, 5, kernel=7, q=3, stride=2, padding=3), generative_forward),
-        (OperationalLayerConfig(4, 2, kernel=4, q=3, stride=2, padding=1, transposed=True),
-         transposed_generative_forward),
+        OperationalLayerConfig(3, 5, kernel=7, q=3, stride=2, padding=3),
+        OperationalLayerConfig(4, 2, kernel=4, q=3, stride=2, padding=1, transposed=True),
     ]
-    for cfg, reference in cases:
+    for cfg in cases:
         layer = OperationalLayer(cfg, rng)
         layer.biases.data[:] = rng.standard_normal(cfg.out_channels)
         x = Tensor(rng.uniform(-1, 1, (cfg.in_channels, 32)).astype(np.float32))
         paper = to_paper_layout(layer.weights.data, cfg.q, cfg.transposed)
         assert paper.shape == (cfg.q, cfg.out_channels, cfg.in_channels, cfg.kernel)
-        assert np.array_equal(to_gemm_layout(paper, cfg.transposed), layer.weights.data)
-        expected = reference(x, paper, layer.biases, cfg.stride, cfg.padding).tanh().data
+        gemm = to_gemm_layout(paper, cfg.transposed)
+        assert np.array_equal(gemm, layer.weights.data)
+        expected = generative_reference(x, gemm, layer.biases, cfg.stride, cfg.padding,
+                                        cfg.transposed).tanh().data
         assert np.array_equal(layer(x).data, expected)
 
 
@@ -149,8 +148,7 @@ def test_preactivation_bound_from_bounded_inputs():
     layer = OperationalLayer(cfg, rng)
     y = rng.uniform(-1, 1, (2, 40)).astype(np.float32)
     # the paper-form forward leaves out the layer's tanh
-    paper = to_paper_layout(layer.weights.data, cfg.q)
-    out = generative_forward(Tensor(y), paper, layer.biases, 1, 2).data
+    out = generative_reference(Tensor(y), layer.weights, layer.biases, 1, 2).data
     # weights are (out, Q*in, K): sum every coefficient feeding one output channel
     bound = np.abs(layer.weights.data).sum(axis=(1, 2)) + np.abs(layer.biases.data)
     assert np.all(np.abs(out) <= bound[:, None] + 1e-6)
@@ -166,15 +164,17 @@ def test_channel_mismatch_raises_shape_error():
 def test_gradients_reach_every_q_slice_and_bias():
     rng = np.random.default_rng(12)
     y = Tensor(rng.uniform(-1, 1, (2, 14)), requires_grad=True, dtype=np.float64)
-    w = Tensor(rng.standard_normal((3, 4, 2, 3)), requires_grad=True, dtype=np.float64)
+    # GEMM-layout (out, Q*in, K) kernels: channels q*2 .. q*2+1 carry slice q
+    w = Tensor(to_gemm_layout(rng.standard_normal((3, 4, 2, 3))), requires_grad=True, dtype=np.float64)
     b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64)
-    err = fd_gradcheck(lambda: generative_forward(y, w, b, 2, 1).tanh().mean(), [y, w, b], rng)
+    err = fd_gradcheck(lambda: generative_reference(y, w, b, 2, 1).tanh().mean(), [y, w, b], rng)
     assert err < 1e-4
-    assert np.any(w.grad[0] != 0) and np.any(w.grad[1] != 0) and np.any(w.grad[2] != 0)
+    assert all(np.any(w.grad[:, 2 * q : 2 * q + 2] != 0) for q in range(3))
 
-    wt = Tensor(rng.standard_normal((3, 2, 2, 4)), requires_grad=True, dtype=np.float64)
+    wt = Tensor(to_gemm_layout(rng.standard_normal((3, 2, 2, 4)), True), requires_grad=True,
+                dtype=np.float64)
     err_t = fd_gradcheck(
-        lambda: transposed_generative_forward(y, wt, None, 2, 1).tanh().mean(), [y, wt], rng)
+        lambda: generative_reference(y, wt, None, 2, 1, transposed=True).tanh().mean(), [y, wt], rng)
     assert err_t < 1e-4
 
 

@@ -115,15 +115,15 @@ def test_powers_of_bounded_inputs_stay_bounded():
 
 
 def test_backward_hand_example():
-    # loss = sum(conv1d(x, w)) with x=[1,2], w=[[[1]]] -> dloss/dw = 3
+    # loss = mean(conv1d(x, w)) with x=[1,2], w=[[[1]]] -> dloss/dw = 3/2
     w = Tensor([[[1.0]]], requires_grad=True)
-    conv1d(Tensor([[1.0, 2.0]]), w).sum().backward()
-    assert float(w.grad.reshape(-1)[0]) == 3.0
+    conv1d(Tensor([[1.0, 2.0]]), w).mean().backward()
+    assert float(w.grad.reshape(-1)[0]) == 1.5
 
 
 def test_tanh_gradient_at_zero_is_one():
     x = Tensor([0.0], requires_grad=True)
-    x.tanh().sum().backward()
+    x.tanh().mean().backward()
     assert float(x.grad[0]) == 1.0
 
 
@@ -177,7 +177,6 @@ def test_gradients_match_finite_differences_per_op():
         # odd (15) and even (16) transform lengths: only the even one has a Nyquist bin
         "power_spectrum": (lambda: (power_spectrum(x).mean()
                                     + power_spectrum(frames1d(x.reshape(1, -1), 16, 8)).mean()), [x]),
-        "transpose": (lambda: w.transpose(2, 0, 1).tanh().mean(), [w]),
         "mul_broadcast": (lambda: (x * row).mean(), [x]),
         "add_broadcast": (lambda: (x + col).tanh().mean(), [x]),
         "conv_fused": (lambda: conv1d(x * 0.3, w3, b, 2, 2, q=3, tanh=True).mean(), [x, w3, b]),
@@ -278,7 +277,7 @@ def test_frozen_conv_weights_keep_no_columns_for_backward():
             for v in held:
                 if isinstance(v, np.ndarray):
                     assert any(np.shares_memory(v, t.data) for t in (x, w, out)), (op, v.shape)
-            out.tanh().sum().backward()
+            out.tanh().mean().backward()
             grads[frozen] = (x.grad, b.grad)
         assert all(np.array_equal(a, b) for a, b in zip(grads[False], grads[True]))
 

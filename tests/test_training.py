@@ -295,17 +295,17 @@ def test_fused_layers_train_as_the_unfused_composition(trained_detector, monkeyp
 def test_worker_failure_reaches_the_caller(trained_detector, monkeypatch, failure):
     detector, split = trained_detector
     caller = os.getpid()
-    real_loss_magnitude = training.loss_magnitude
+    real_loss_stft = training.loss_stft
 
     # the spectral loss runs for every training sample, in whichever worker holds it
-    def loss_magnitude(*args):
+    def loss_stft(*args):
         if os.getpid() != caller:
             if failure == "dies":
                 os._exit(7)
             raise RuntimeError("spectral loss failed in a worker")
-        return real_loss_magnitude(*args)
+        return real_loss_stft(*args)
 
-    monkeypatch.setattr(training, "loss_magnitude", loss_magnitude)
+    monkeypatch.setattr(training, "loss_stft", loss_stft)
     _use_workers(monkeypatch, 2)
     cfg = TrainConfig(seed=17, max_iterations=2)
     expected = "spectral loss failed in a worker" if failure == "raises" else r"exit code 7"

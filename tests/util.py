@@ -147,6 +147,27 @@ def tap_gather_loop(gfull, k, stride, length):
     return rows.reshape(c * k, length)
 
 
+def generative_reference(y, weights, biases=None, stride=1, padding=0, transposed=False):
+    """Pre-tanh output of a generative layer in the paper's form, as separate nodes.
+
+    The powers ``y, y*y, (y*y)*y, ...`` are Tensor products joined by
+    ``concat``, and one plain convolution (``q=1``, no tanh) sums
+    ``conv(w_q, y**q)`` over them.  ``weights`` is in the GEMM layout the
+    layer keeps, ``(out, Q*in, K)`` or, ``transposed``, ``(Q*in, out, K)``;
+    pass ``(Q, out, in, K)`` kernels through ``to_gemm_layout`` first.
+    """
+    from opvib.tensor import Tensor, concat, conv1d, transposed_conv1d
+
+    y = y if isinstance(y, Tensor) else Tensor(y)
+    w = weights if isinstance(weights, Tensor) else Tensor(np.asarray(weights, dtype=y.dtype))
+    q = w.data.shape[0 if transposed else 1] // y.data.shape[0]
+    powers = [y]
+    for _ in range(1, q):
+        powers.append(powers[-1] * y)
+    conv = transposed_conv1d if transposed else conv1d
+    return conv(concat(powers), w, biases, stride, padding)
+
+
 def frames1d_backward_loop(g, n, hop):
     """Overlap-add of ``(F, frame_len)`` frame gradients one frame at a time,
     frames in ascending order, into a length-``n`` signal gradient."""
@@ -160,13 +181,13 @@ def frames1d_backward_loop(g, n, hop):
 def _fresh_sample_losses(model, detector, pair):
     """``(time, stft, class)`` loss tensors of one pair, with the detector's
     scores and the target spectrogram computed anew on every call."""
-    from opvib.losses import loss_class, loss_stft, loss_time
+    from opvib.losses import loss_class, loss_stft, loss_time, stft_magnitude
     from opvib.tensor import no_grad
 
     with no_grad():
         target = detector(pair.vibration.reshape(1, -1)).data
     synth = model(pair.sound.reshape(1, -1))
-    return (loss_time(pair.vibration, synth), loss_stft(pair.vibration, synth),
+    return (loss_time(pair.vibration, synth), loss_stft(stft_magnitude(pair.vibration), synth),
             loss_class(target, detector(synth)))
 
 
@@ -202,7 +223,7 @@ def joined_graph_training(train, val, cfg, detector, model):
                 joined = loss_total(*samples[0], cfg.lam)
                 for sample in samples[1:]:
                     joined = joined + loss_total(*sample, cfg.lam)
-                (joined / len(samples)).backward()
+                (joined * (1.0 / len(samples))).backward()
                 opt.step()
                 for t in params:
                     t.grad = None
