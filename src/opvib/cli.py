@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import sys
@@ -263,7 +264,7 @@ def _cmd_train_transformer(opts):
         "seed": opts["seed"], "iteration": best["iter"], "val_loss": best["val_total"],
         "held_out_speed": held_out, "l_seg": model.l_seg,
         "sample_rate_hz": pairs[0].sample_rate_hz,
-        "detector": str(opts["detector"]),
+        "detector_sha256": hashlib.sha256(Path(opts["detector"]).read_bytes()).hexdigest(),
     })
     print(f"best iteration {best['iter']}: val_total={best['val_total']:.6f}")
     print(f"checkpoint: {opts['out']}")

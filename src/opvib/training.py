@@ -10,13 +10,13 @@ computed once per pair and call.  The weights with the best validation
 total are returned; writing them to a checkpoint is the caller's job.
 
 Both loops are sample-parallel.  Each sample gets its own backward pass
-with the seed ``1/n``, its gradient lands in its own slot of one shared
-arena, and the slots are summed in sample order before one Adam
-update; validation values are summed in sample order too.  The calling
-process is worker 0 and forked children take the rest of each batch, so
-the result is the same for any worker count.  numpy's BLAS is held at
-one thread for the whole call where it can be (``one_blas_thread``), and
-children are forked only then.
+with the seed ``1/n``, and its gradient joins one shared running sum in
+sample order, ``((g0 + g1) + g2) + ...``, which takes memory for one
+gradient whatever the batch; one Adam update follows.  Validation values
+are summed in sample order too.  The calling process is worker 0 and
+forked children take the rest of each batch, so the result is the same
+for any worker count.  numpy's BLAS is held at one thread for the whole
+call where it can be (``one_blas_thread``), and children fork only then.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import mmap
 import multiprocessing
 import os
 import signal
+import threading
 import traceback
 from dataclasses import dataclass
 
@@ -238,21 +239,21 @@ def _shared(shape, dtype):
 
 
 class _Arena:
-    """The trained parameters and their per-sample gradients in shared memory.
+    """The trained parameters and their batch gradient in shared memory.
 
-    The parameters form one flat row, with one gradient row per batch
-    position in the same dtype.  The parameters are rebound as views into
-    their row, so forked workers read every update.  ``release`` rebinds
-    them to private copies.
+    The parameters form one flat row, and their gradient one more row of
+    the same dtype: the sum ``((g0 + g1) + g2) + ...`` of the batch, folded
+    in position order.  The parameters are rebound as views into their
+    row, so forked workers read every update; ``release`` rebinds them.
     """
 
-    def __init__(self, params, slots):
+    def __init__(self, params):
         dtypes = {t.dtype for t in params}
         if len(dtypes) != 1:
             raise ConfigError(f"trained parameters of several dtypes: {sorted(map(str, dtypes))}")
         self.params = params
         flat = _shared(sum(t.data.size for t in params), dtypes.pop())
-        self.grads = _shared((slots, flat.size), flat.dtype)
+        self.grad = _shared(flat.size, flat.dtype)
         self.spans = []
         start = 0
         for t in params:
@@ -264,24 +265,22 @@ class _Arena:
         # a gradient left over from before the call must not join the first sample's
         self.drop_grads()
 
-    def store_grads(self, pos):
-        """Move each parameter's gradient into row ``pos`` (0 where none)."""
-        for t, span in zip(self.params, self.spans):
-            if t.grad is None:
-                self.grads[pos, span] = 0
-            elif t.grad.dtype != self.grads.dtype:
-                raise ConfigError(f"a {t.grad.dtype} gradient reached a {self.grads.dtype} arena")
+    def fold(self, pos, grads):
+        """Copy ``grads`` into the sum row for position 0, else add them; None adds zeros."""
+        for g, span in zip(grads, self.spans):
+            if g is not None and g.dtype != self.grad.dtype:
+                raise ConfigError(f"a {g.dtype} gradient reached a {self.grad.dtype} arena")
+            row = self.grad[span]
+            g = 0 if g is None else g.reshape(-1)
+            if pos == 0:
+                row[...] = g
             else:
-                self.grads[pos, span] = t.grad.reshape(-1)
-            t.grad = None
+                np.add(row, g, out=row)
 
-    def sum_grads(self, n):
-        """``((g0 + g1) + g2) + ...`` over the first ``n`` rows, handed to
-        each parameter as its ``grad``."""
-        for row in self.grads[1:n]:
-            np.add(self.grads[0], row, out=self.grads[0])
+    def use_grads(self):
+        """Hand each parameter its view of the sum row as its ``grad``."""
         for t, span in zip(self.params, self.spans):
-            t.grad = self.grads[0, span].reshape(t.data.shape)
+            t.grad = self.grad[span].reshape(t.data.shape)
 
     def drop_grads(self):
         for t in self.params:
@@ -292,9 +291,15 @@ class _Arena:
             t.data = t.data.copy()
 
 
-def _died(k, proc):
-    proc.join(1.0)
-    return WorkerError(f"training worker {k} died (exit code {proc.exitcode})")
+def _reply(k, proc, conn):
+    try:
+        status, payload = conn.recv()
+    except (EOFError, OSError):
+        proc.join(1.0)
+        raise WorkerError(f"training worker {k} died (exit code {proc.exitcode})") from None
+    if status != "ok":
+        raise WorkerError(f"training worker {k} failed:\n{payload}")
+    return payload
 
 
 class _Workers:
@@ -379,25 +384,27 @@ class _Workers:
         self.next[0] = 1 + len(self.children)
         busy = [(k, proc, conn) for k, (proc, conn) in enumerate(self.children, start=1)
                 if k < len(items)]
-        for k, proc, conn in busy:
-            try:
+        for _, _, conn in busy:
+            # a dead child's reply below tells of its death
+            with contextlib.suppress(OSError):
                 conn.send((name, items))
-            except OSError:
-                raise _died(k, proc) from None
-        results = [None] * len(items)
         replies = [self._run(0, name, items)]
         for k, proc, conn in busy:
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError):
-                raise _died(k, proc) from None
-            if status != "ok":
-                raise WorkerError(f"training worker {k} failed:\n{payload}")
-            replies.append(payload)
+            # a child waiting for a dead child's turn never replies
+            while not conn.poll(0.1):
+                self.check()
+            replies.append(_reply(k, proc, conn))
+        results = [None] * len(items)
         for taken, values in replies:
             for i, value in zip(taken, values):
                 results[i] = value
         return results
+
+    def check(self):
+        """Raise the failure of a child that has exited."""
+        for k, (proc, conn) in enumerate(self.children, start=1):
+            if proc.exitcode is not None:
+                _reply(k, proc, conn)
 
     def close(self):
         """Stop every child; idle ones exit at once, the rest are killed."""
@@ -425,7 +432,11 @@ class _SampleParallel:
 
     def __init__(self, params, cfg, workers, sample_loss, evaluate):
         self.sample_loss = sample_loss
-        self.arena = _Arena(params, cfg.batch_size)
+        self.arena = _Arena(params)
+        self.caller = os.getpid()
+        self.turn = _shared((1,), np.int64)     # the next batch position to fold
+        # one process takes every turn in order and never waits
+        self.turned = (multiprocessing.get_context("fork") if workers > 1 else threading).Condition()
         # one Adam array per parameter, as a flat update over a whole row
         # gives the same bits but allocates row-sized temporaries each step
         self.opt = Adam(params, lr=cfg.learning_rate)
@@ -440,19 +451,41 @@ class _SampleParallel:
 
     def _backward(self, jobs):
         """Backward passes over the batch positions this worker claims; returns their values."""
-        values = []
+        values, early = [], []
         for pos, i, n in jobs:
             loss, value = self.sample_loss(i)
             loss.backward(np.asarray(1.0 / n, dtype=loss.dtype))
-            self.arena.store_grads(pos)
             values.append(value)
+            early.append((pos, [t.grad for t in self.arena.params]))
+            self.arena.drop_grads()
+            # one gradient may wait for its turn; a second makes this worker wait
+            while early and (len(early) > 1 or self.turn[0] == early[0][0]):
+                self._fold(*early.pop(0))
+        for pos, grads in early:
+            self._fold(pos, grads)
         return values
+
+    def _fold(self, pos, grads):
+        """Fold position ``pos``'s gradients into the arena once its turn has come."""
+        with self.turned:
+            while self.turn[0] != pos:
+                self.turned.wait(0.1)
+                # the caller raises a failed child's error; a child exits with the caller
+                if os.getpid() == self.caller:
+                    self.workers.check()
+                elif self.turn[0] < 0 or os.getppid() != self.caller:
+                    raise SystemExit
+        self.arena.fold(pos, grads)
+        with self.turned:
+            self.turn[0] = pos + 1
+            self.turned.notify_all()
 
     def step(self, batch):
         """One Adam update over ``batch``; returns each sample's values in order."""
         n = len(batch)
+        self.turn[0] = 0
         values = self.workers.map("train", [(pos, int(i), n) for pos, i in enumerate(batch)])
-        self.arena.sum_grads(n)
+        self.arena.use_grads()
         try:
             self.opt.step()
         finally:
@@ -467,6 +500,7 @@ class _SampleParallel:
         return self
 
     def __exit__(self, *exc):
+        self.turn[0] = -1                       # a child waiting for a turn stops
         try:
             self.workers.close()
         finally:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from opvib import cli, training
 from opvib.dataio import load_recording, write_wav
-from opvib.models import OpUNet, save_checkpoint
+from opvib.models import OpUNet, load_checkpoint, save_checkpoint
 from opvib.signal import Signal
 from util import THREAD_VARS, fake_blas_threads, opvib_subprocess_env
 
@@ -177,6 +178,24 @@ def test_negative_lambda_exits_1(dataset, detector_ckpt, tmp_path, capsys):
     assert rc == 1
     assert "error: lam must be finite and non-negative" in capsys.readouterr().err
     assert not (tmp_path / "t.opvb").exists()
+
+
+def test_transformer_file_does_not_depend_on_the_detector_directory(dataset, detector_ckpt,
+                                                                   tmp_path):
+    # the transformer's meta names its detector by content, not by path
+    files = []
+    for where in ("a", "b/c"):
+        det = tmp_path / where / "det.opvb"
+        det.parent.mkdir(parents=True)
+        det.write_bytes(detector_ckpt.read_bytes())
+        out = tmp_path / where / "t.opvb"
+        assert run(["train-transformer", "--manifest", str(dataset / "manifest.tsv"),
+                    "--detector", str(det), "--out", str(out), "--iters", "2", "--seed", "5",
+                    "--train-seconds", "8", "--val-seconds", "4"]) == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+    _, meta = load_checkpoint(out)
+    assert meta["detector_sha256"] == hashlib.sha256(detector_ckpt.read_bytes()).hexdigest()
 
 
 def test_synthesize_round_trip_preserves_duration(dataset, transformer_ckpt, tmp_path):

@@ -460,6 +460,95 @@ def test_an_exception_from_adam_step_leaves_no_worker(trained_detector, monkeypa
         assert t.data.base is None and np.array_equal(t.data, orig)
 
 
+def _caller_late_at_position_0(monkeypatch, log, seconds, then=None):
+    """The caller starts each batch's position 0 ``seconds`` late, then calls
+    ``then``; every worker appends ``"pid position"`` to ``log`` once it is
+    done with a position, its gradient folded or waiting for its turn."""
+    caller = os.getpid()
+    real_backward = training._SampleParallel._backward
+
+    def backward(self, jobs):
+        def late(jobs):
+            for pos, i, n in jobs:
+                if pos == 0 and os.getpid() == caller:
+                    time.sleep(seconds)
+                    if then:
+                        then()
+                yield pos, i, n
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {pos}\n")
+        return real_backward(self, late(jobs))
+
+    monkeypatch.setattr(training._SampleParallel, "_backward", backward)
+
+
+def _done(log):
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def test_gradients_done_out_of_turn_are_summed_in_sample_order(trained_detector, monkeypatch,
+                                                               tmp_path):
+    # the child is done with position 1 before the caller starts position 0,
+    # in every batch, and the weights are still those of one worker
+    detector, split = trained_detector
+    cfg = TrainConfig(seed=24, max_iterations=3, val_interval=2)
+    log = tmp_path / "done"
+    _caller_late_at_position_0(monkeypatch, log, 0.2)
+    runs = []
+    for workers in (1, 2):
+        log.unlink(missing_ok=True)
+        _use_workers(monkeypatch, workers)
+        with _deadline(60):
+            model, history = train_transformer(split.train, split.val, cfg, detector)
+        runs.append((history, _weights(model)))
+    assert runs[1][0] == runs[0][0]
+    assert all(np.array_equal(a, b) for a, b in zip(runs[1][1], runs[0][1]))
+    done = _done(log)
+    assert [pid for pid, pos in done if pos == 0] == [os.getpid()] * 3
+    firsts = [k for k, (_, pos) in enumerate(done) if pos == 0]
+    seconds = [k for k, (_, pos) in enumerate(done) if pos == 1]
+    assert len(seconds) == 3 and all(b < a for a, b in zip(firsts, seconds))
+
+
+def test_the_arena_holds_one_gradient_row_whatever_the_batch(small_dataset, monkeypatch):
+    split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
+    size = parameter_count(FaultClassifier(l_seg=int(RATE)))
+    real_shared = training._shared
+    _use_workers(monkeypatch, 2)
+    for batch_size in (8, 32):
+        made = []
+
+        def shared(shape, dtype):
+            array = real_shared(shape, dtype)
+            made.append(array)
+            return array
+
+        monkeypatch.setattr(training, "_shared", shared)
+        cfg = TrainConfig(seed=22, batch_size=batch_size, classifier_epochs=1)
+        train_fault_detector(split.train, split.val, cfg)
+        # the parameter row, the gradient row and two int64 counters
+        assert sorted(a.nbytes for a in made) == [8, 8, 4 * size, 4 * size]
+
+
+def test_a_caller_failing_while_a_child_waits_for_its_turn_stops_the_child(trained_detector,
+                                                                           monkeypatch, tmp_path):
+    # the child is done with positions 1 and 2 and waits for the turn of 1,
+    # which needs the caller's position 0, when the caller raises instead
+    detector, split = trained_detector
+    log = tmp_path / "done"
+
+    def halt():
+        raise _Halt
+
+    _caller_late_at_position_0(monkeypatch, log, 0.5, then=halt)
+    _use_workers(monkeypatch, 2)
+    with _deadline(5), pytest.raises(_Halt):
+        train_transformer(split.train, split.val, TrainConfig(seed=23, max_iterations=2),
+                          detector)
+    assert multiprocessing.active_children() == []
+    assert [pos for _, pos in _done(log)] == [1]
+
+
 def test_stale_gradients_do_not_reach_the_first_update(trained_detector, monkeypatch):
     # a gradient left on a parameter before the call (a manual backward, a
     # gradient check) must not be added into the first sample's
