@@ -746,6 +746,60 @@ def test_transformer_log_line_format(small_dataset, trained_detector):
         assert re.match(pattern, line), line
 
 
+def test_detector_log_line_format(small_dataset):
+    split = split_dataset(small_dataset, 1010.0, train_seconds=10, val_seconds=4)
+    cfg = TrainConfig(seed=5, classifier_epochs=3)
+    lines = []
+    train_fault_detector(split.train, split.val, cfg, log=lines.append)
+    pattern = r"^epoch=\d+ train_mse=\d+\.\d{6} val_mse=\d+\.\d{6} val_acc=\d+\.\d{2}$"
+    assert len(lines) == 3
+    for line in lines:
+        assert re.match(pattern, line), line
+
+
+def test_detector_returns_the_best_epochs_weights(small_dataset):
+    # a run stopped at the best epoch ends on the weights a longer run restores
+    split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
+    cfg = TrainConfig(seed=0, classifier_epochs=7, learning_rate=0.05)
+    model, history = train_fault_detector(split.train, split.val, cfg)
+    best = int(np.argmin([h["val_mse"] for h in history]))
+    assert best < cfg.classifier_epochs - 1
+    stopped, _ = train_fault_detector(split.train, split.val,
+                                      TrainConfig(seed=0, classifier_epochs=best + 1,
+                                                  learning_rate=0.05))
+    assert all(np.array_equal(a, b) for a, b in zip(_weights(model), _weights(stopped)))
+
+
+def test_transformer_returns_the_best_validated_weights(trained_detector):
+    # validation at iterations 1, 2, 4 and 6; the best is not the last
+    detector, split = trained_detector
+    cfg = TrainConfig(seed=3, max_iterations=6, val_interval=2, learning_rate=0.1)
+    model, history = train_transformer(split.train, split.val, cfg, detector)
+    best = history[int(np.argmin([h["val_total"] for h in history]))]["iter"]
+    assert best < cfg.max_iterations
+    stopped, _ = train_transformer(split.train, split.val,
+                                   TrainConfig(seed=3, max_iterations=best, val_interval=2,
+                                               learning_rate=0.1), detector)
+    assert all(np.array_equal(a, b) for a, b in zip(_weights(model), _weights(stopped)))
+
+
+def _with_nan_vibration(pairs, k):
+    pairs = list(pairs)
+    vibration = pairs[k].vibration.copy()
+    vibration[10] = np.nan
+    pairs[k] = SegmentPair(pairs[k].sound, vibration, pairs[k].label, speed=pairs[k].speed)
+    return pairs
+
+
+def test_non_finite_validation_stops_both_stages(trained_detector):
+    detector, split = trained_detector
+    val = _with_nan_vibration(split.val, 1)
+    with pytest.raises(ValueError, match=r"^epoch 0: val_mse is not finite"):
+        train_fault_detector(split.train, val, TrainConfig(seed=5, classifier_epochs=3))
+    with pytest.raises(ValueError, match=r"^iteration 1: val_total is not finite"):
+        train_transformer(split.train, val, TrainConfig(seed=3, max_iterations=3), detector)
+
+
 def test_transformer_history_and_best_bookkeeping(small_dataset, trained_detector):
     detector, split = trained_detector
     cfg = TrainConfig(seed=4, max_iterations=8, val_interval=4)
