@@ -11,9 +11,9 @@ fully resolved configuration is echoed before the command runs.  Exit
 codes: 0 success, 1 runtime failure, 2 invalid flags or config keys.
 
 ``--reproducible`` holds numpy's BLAS at one thread for the whole command,
-through the BLAS's own thread setter (``training.one_blas_thread``), and
-restores the count after.  When that setter is not found or does not take,
-the command exits 2 rather than run unpinned.
+through the BLAS's own thread setter (``opvib.parallel.one_blas_thread``),
+and restores the count after.  When that setter is not found or does not
+take, the command exits 2 rather than run unpinned.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ from .models import (
     parameter_count,
     save_checkpoint,
 )
+from .parallel import one_blas_thread
 from .signal import Signal
 from .training import (
     TRAIN_SECONDS,
     VAL_SECONDS,
     TrainConfig,
     classify_pairs,
-    one_blas_thread,
     split_dataset,
     train_fault_detector,
     train_transformer,

@@ -153,10 +153,6 @@ class Tensor:
     # -- convenience accessors ----------------------------------------------
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def dtype(self):
         return self.data.dtype
 

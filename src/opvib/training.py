@@ -9,27 +9,13 @@ real vibration's spectrogram, and the detector's scores for it, are
 computed once per pair and call.  The weights with the best validation
 total are returned; writing them to a checkpoint is the caller's job.
 
-Both loops are sample-parallel.  Each sample gets its own backward pass
-with the seed ``1/n``, and its gradient joins one shared running sum in
-sample order, ``((g0 + g1) + g2) + ...``, which takes memory for one
-gradient whatever the batch; one Adam update follows.  Validation values
-are summed in sample order too.  The calling process is worker 0 and
-forked children take the rest of each batch, so the result is the same
-for any worker count.  numpy's BLAS is held at one thread for the whole
-call where it can be (``one_blas_thread``), and children fork only then.
+Both stages run one loop, ``_fit``, on the runtime of :mod:`opvib.parallel`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
-import mmap
-import multiprocessing
-import os
-import signal
-import threading
-import traceback
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +23,10 @@ import numpy as np
 from .evaluation import compute_metrics
 from .losses import loss_class, loss_stft, loss_time, loss_total, stft_magnitude
 from .models import CLASS_TARGETS, ConfigError, FaultClassifier, OpUNet, predict_label
-from .optim import Adam
+from .parallel import _pinned_workers, _SampleParallel
 from .tensor import no_grad
 
 __all__ = [
-    "WorkerError",
-    "one_blas_thread",
     "TrainConfig",
     "DataSplit",
     "split_dataset",
@@ -51,26 +35,6 @@ __all__ = [
     "classify_pairs",
     "run_experiment",
 ]
-
-
-# the default worker count never exceeds this: two workers is all that has
-# been measured to pay, on a 2-core machine
-_MAX_DEFAULT_WORKERS = 2
-
-
-class WorkerError(RuntimeError):
-    """A forked training worker raised or died; the message carries its error."""
-
-
-def _can_fork():
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _usable_cpus():
-    # sched_getaffinity is Linux-only; macOS has fork but not it
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 # seconds of data that split_dataset gives to training and then to validation
@@ -150,9 +114,7 @@ def _batches(n, batch_size, rng):
 
 def _batch_mean(losses):
     """Mean of per-sample loss arrays in their own dtype, summed in sample order."""
-    total = losses[0]
-    for loss in losses[1:]:
-        total = total + loss
+    total = sum(losses[1:], losses[0])
     return float(total * np.asarray(1.0 / len(losses), dtype=total.dtype))
 
 
@@ -163,348 +125,34 @@ def _require_finite(where, values):
             raise ValueError(f"{where}: {name} is not finite ({value}); training stopped")
 
 
-# BLAS thread-count (getter, setter) names; numpy's own wheels export the first
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads"),
-)
+def _fit(model, cfg, workers, sample_loss, evaluate, val_count, rounds, reduce, val_columns,
+         line, log):
+    """The training loop of both stages; returns ``(model, history)``.
 
-
-@functools.cache
-def _blas_threads():
-    """The ``(get, set)`` thread-count functions of numpy's BLAS, or None.
-    ``dlsym`` on numpy's ``_multiarray_umath`` extension also searches the BLAS it links."""
-    try:
-        from numpy._core import _multiarray_umath as ext
-    except ImportError:                         # numpy 1.x
-        from numpy.core import _multiarray_umath as ext
-    lib = ctypes.CDLL(ext.__file__)
-    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-        if hasattr(lib, get_name) and hasattr(lib, set_name):
-            get, put = getattr(lib, get_name), getattr(lib, set_name)
-            get.argtypes, get.restype = (), ctypes.c_int
-            put.argtypes, put.restype = (ctypes.c_int,), None
-            return get, put
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold numpy's BLAS at one thread; yields whether the count then reads 1,
-    False also for a BLAS without a known setter.  The caller's count is
-    restored on exit, also on an exception."""
-    threads = _blas_threads()
-    if threads is None:
-        yield False
-        return
-    get, put = threads
-    saved = get()
-    try:
-        put(1)
-        yield get() == 1
-    finally:
-        put(saved)
-
-
-def _worker_count(cfg, pinned):
-    """Processes that share each batch and validation pass, the caller included.
-
-    ``min(2, usable CPUs, batch_size)`` when BLAS is held at one thread
-    (``pinned``) and the platform can fork, else 1: two processes that each
-    run a multithreaded BLAS only fight over the cores.  At a given BLAS
-    thread count the training result does not depend on it.
+    Each round ``(where, head, batches, validate)`` takes one Adam step per
+    batch, and ``reduce`` turns the steps' values into the round's as they
+    come.  A round that validates (the first does) averages ``val_columns``
+    over ``evaluate``'s ``val_count`` items; the lowest first column's weights are kept.
     """
-    if not (pinned and _can_fork()):
-        return 1
-    return min(_MAX_DEFAULT_WORKERS, _usable_cpus(), cfg.batch_size)
-
-
-@contextlib.contextmanager
-def _pinned_workers(cfg):
-    """Holds BLAS at one thread until exit where it can, and yields the
-    worker count; so the children fork with one thread, and the whole call
-    computes on one whatever the count."""
-    with one_blas_thread() as pinned:
-        yield _worker_count(cfg, pinned)
-
-
-def _shared(shape, dtype):
-    """A zeroed array on an anonymous shared mapping, which forked children share."""
-    dtype = np.dtype(dtype)
-    # the array keeps the mapping alive; it is unmapped with the last view of it
-    shared = mmap.mmap(-1, max(1, int(np.prod(shape))) * dtype.itemsize)
-    return np.frombuffer(shared, dtype, count=int(np.prod(shape))).reshape(shape)
-
-
-class _Arena:
-    """The trained parameters and their batch gradient in shared memory.
-
-    The parameters form one flat row, and their gradient one more row of
-    the same dtype: the sum ``((g0 + g1) + g2) + ...`` of the batch, folded
-    in position order.  The parameters are rebound as views into their
-    row, so forked workers read every update; ``release`` rebinds them.
-    """
-
-    def __init__(self, params):
-        dtypes = {t.dtype for t in params}
-        if len(dtypes) != 1:
-            raise ConfigError(f"trained parameters of several dtypes: {sorted(map(str, dtypes))}")
-        self.params = params
-        flat = _shared(sum(t.data.size for t in params), dtypes.pop())
-        self.grad = _shared(flat.size, flat.dtype)
-        self.spans = []
-        start = 0
-        for t in params:
-            view = flat[start : start + t.data.size].reshape(t.data.shape)
-            view[...] = t.data
-            t.data = view
-            self.spans.append(slice(start, start + view.size))
-            start += view.size
-        # a gradient left over from before the call must not join the first sample's
-        self.drop_grads()
-
-    def fold(self, pos, grads):
-        """Copy ``grads`` into the sum row for position 0, else add them; None adds zeros."""
-        for g, span in zip(grads, self.spans):
-            if g is not None and g.dtype != self.grad.dtype:
-                raise ConfigError(f"a {g.dtype} gradient reached a {self.grad.dtype} arena")
-            row = self.grad[span]
-            g = 0 if g is None else g.reshape(-1)
-            if pos == 0:
-                row[...] = g
-            else:
-                np.add(row, g, out=row)
-
-    def use_grads(self):
-        """Hand each parameter its view of the sum row as its ``grad``."""
-        for t, span in zip(self.params, self.spans):
-            t.grad = self.grad[span].reshape(t.data.shape)
-
-    def drop_grads(self):
-        for t in self.params:
-            t.grad = None
-
-    def release(self):
-        for t in self.params:
-            t.data = t.data.copy()
-
-
-def _reply(k, proc, conn):
-    try:
-        status, payload = conn.recv()
-    except (EOFError, OSError):
-        proc.join(1.0)
-        raise WorkerError(f"training worker {k} died (exit code {proc.exitcode})") from None
-    if status != "ok":
-        raise WorkerError(f"training worker {k} failed:\n{payload}")
-    return payload
-
-
-class _Workers:
-    """Run named tasks over a list of items, split across processes.
-
-    A task maps an iterable of items to the list of their results.  Worker
-    0 is the calling process; workers 1.. are children forked at
-    construction, which inherit the tasks, the data and the arena, and take
-    only small messages over a pipe: a task name with the items, and back
-    the results or the error.  Worker ``k`` takes item ``k`` first; after
-    that each worker claims the next unclaimed item through a counter in
-    shared memory.  So a worker that the machine slows down takes fewer
-    items rather than holding up the others at the end of a batch.  ``map``
-    returns results in item order.  Forking, not spawning, is what lets the
-    children share the arena and skip pickling the models and data.  The
-    only other threads are BLAS's, and OpenBLAS shuts its pool down before
-    a fork (``pthread_atfork``).
-    """
-
-    def __init__(self, count, tasks):
-        self.tasks = tasks
-        self.children = []
-        if count < 2:
-            return
-        context = multiprocessing.get_context("fork")
-        self.lock = context.Lock()
-        self.next = _shared((1,), np.int64)     # the next item to claim
-        try:
-            for k in range(1, count):
-                conn, child_conn = context.Pipe()
-                proc = context.Process(target=self._serve, args=(k, child_conn, conn), daemon=True)
-                proc.start()
-                # the parent keeps no copy of the child's end, so a dead
-                # child reads as EOF rather than a hang
-                child_conn.close()
-                self.children.append((proc, conn))
-        except BaseException:
-            self.close()
-            raise
-
-    def _claim(self, k, items, taken):
-        """Item ``k``, then each next unclaimed item; their indices go to ``taken``."""
-        while k < len(items):
-            taken.append(k)
-            yield items[k]
-            with self.lock:
-                k = int(self.next[0])
-                self.next[0] = k + 1
-
-    def _run(self, k, name, items):
-        taken = []
-        results = self.tasks[name](self._claim(k, items, taken))
-        return taken, results
-
-    def _serve(self, k, conn, parent_end):
-        # Ctrl-C reaches the whole process group; the parent stops its children
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        # the fork copied the parent's ends of this child's pipe and of the
-        # earlier children's; closed here, the parent's death reads as EOF
-        parent_end.close()
-        for _, other in self.children:
-            other.close()
-        while True:
-            try:
-                job = conn.recv()
-            except EOFError:                    # the parent is gone
-                return
-            if job is None:
-                return
-            try:
-                reply = ("ok", self._run(k, *job))
-            except Exception:
-                conn.send(("error", traceback.format_exc()))
-                return
-            conn.send(reply)
-
-    def map(self, name, items):
-        items = list(items)
-        if not self.children:
-            return self.tasks[name](items)
-        # every worker's first item is its own, so claims start after them
-        self.next[0] = 1 + len(self.children)
-        busy = [(k, proc, conn) for k, (proc, conn) in enumerate(self.children, start=1)
-                if k < len(items)]
-        for _, _, conn in busy:
-            # a dead child's reply below tells of its death
-            with contextlib.suppress(OSError):
-                conn.send((name, items))
-        replies = [self._run(0, name, items)]
-        for k, proc, conn in busy:
-            # a child waiting for a dead child's turn never replies
-            while not conn.poll(0.1):
-                self.check()
-            replies.append(_reply(k, proc, conn))
-        results = [None] * len(items)
-        for taken, values in replies:
-            for i, value in zip(taken, values):
-                results[i] = value
-        return results
-
-    def check(self):
-        """Raise the failure of a child that has exited."""
-        for k, (proc, conn) in enumerate(self.children, start=1):
-            if proc.exitcode is not None:
-                _reply(k, proc, conn)
-
-    def close(self):
-        """Stop every child; idle ones exit at once, the rest are killed."""
-        for _, conn in self.children:
-            try:
-                conn.send(None)
-            except OSError:
-                pass
-            conn.close()
-        for proc, _ in self.children:
-            proc.join(5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        self.children = []
-
-
-class _SampleParallel:
-    """Data-parallel steps with a result that does not depend on the worker count.
-
-    ``sample_loss(i)`` returns training sample ``i``'s loss tensor and the
-    values to report for it; ``evaluate(i)`` the values of validation item
-    ``i``.  Both run on whichever worker holds the item.
-    """
-
-    def __init__(self, params, cfg, workers, sample_loss, evaluate):
-        self.sample_loss = sample_loss
-        self.arena = _Arena(params)
-        self.caller = os.getpid()
-        self.turn = _shared((1,), np.int64)     # the next batch position to fold
-        # one process takes every turn in order and never waits
-        self.turned = (multiprocessing.get_context("fork") if workers > 1 else threading).Condition()
-        # one Adam array per parameter, as a flat update over a whole row
-        # gives the same bits but allocates row-sized temporaries each step
-        self.opt = Adam(params, lr=cfg.learning_rate)
-        try:
-            self.workers = _Workers(workers, {
-                "train": self._backward,
-                "eval": lambda items: [evaluate(i) for i in items],
-            })
-        except BaseException:
-            self.arena.release()
-            raise
-
-    def _backward(self, jobs):
-        """Backward passes over the batch positions this worker claims; returns their values."""
-        values, early = [], []
-        for pos, i, n in jobs:
-            loss, value = self.sample_loss(i)
-            loss.backward(np.asarray(1.0 / n, dtype=loss.dtype))
-            values.append(value)
-            early.append((pos, [t.grad for t in self.arena.params]))
-            self.arena.drop_grads()
-            # one gradient may wait for its turn; a second makes this worker wait
-            while early and (len(early) > 1 or self.turn[0] == early[0][0]):
-                self._fold(*early.pop(0))
-        for pos, grads in early:
-            self._fold(pos, grads)
-        return values
-
-    def _fold(self, pos, grads):
-        """Fold position ``pos``'s gradients into the arena once its turn has come."""
-        with self.turned:
-            while self.turn[0] != pos:
-                self.turned.wait(0.1)
-                # the caller raises a failed child's error; a child exits with the caller
-                if os.getpid() == self.caller:
-                    self.workers.check()
-                elif self.turn[0] < 0 or os.getppid() != self.caller:
-                    raise SystemExit
-        self.arena.fold(pos, grads)
-        with self.turned:
-            self.turn[0] = pos + 1
-            self.turned.notify_all()
-
-    def step(self, batch):
-        """One Adam update over ``batch``; returns each sample's values in order."""
-        n = len(batch)
-        self.turn[0] = 0
-        values = self.workers.map("train", [(pos, int(i), n) for pos, i in enumerate(batch)])
-        self.arena.use_grads()
-        try:
-            self.opt.step()
-        finally:
-            # the summed gradients must not meet the next batch's first sample
-            self.arena.drop_grads()
-        return values
-
-    def evaluate(self, count):
-        return self.workers.map("eval", range(count))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.turn[0] = -1                       # a child waiting for a turn stops
-        try:
-            self.workers.close()
-        finally:
-            self.arena.release()
+    params = [t for _, t in model.parameters()]
+    history = []
+    best = None
+    with _SampleParallel(params, cfg, workers, sample_loss, evaluate) as engine:
+        for where, head, batches, validate in rounds:
+            values = reduce(engine.step(batch) for batch in batches)
+            _require_finite(where, values)
+            if validate:
+                items = engine.workers.map("eval", range(val_count))
+                val = {name: sum(col) / val_count for name, col in zip(val_columns, zip(*items))}
+                _require_finite(where, val)
+                if best is None or val[val_columns[0]] < best[0]:
+                    best = (val[val_columns[0]], [t.data.copy() for t in params])
+            history.append({**head, **values, **val})
+            if log:
+                log(line.format_map(history[-1]))
+    for t, data in zip(params, best[1]):
+        t.data = data
+    return model, history
 
 
 def train_fault_detector(train, val, cfg: TrainConfig, log=None):
@@ -523,11 +171,8 @@ def train_fault_detector(train, val, cfg: TrainConfig, log=None):
     if len(lengths) > 1:
         raise ValueError(f"training and validation segments differ in length: {sorted(lengths)}")
     model = FaultClassifier(l_seg=lengths.pop(), seed=cfg.seed)
-    params = [t for _, t in model.parameters()]
     rng = np.random.default_rng(cfg.seed)
     val_pairs = val if val else train
-    history = []
-    best = None
 
     def sample_loss(i):
         pair = train[i]
@@ -538,36 +183,19 @@ def train_fault_detector(train, val, cfg: TrainConfig, log=None):
         pair = val_pairs[i]
         with no_grad():
             scores = model(pair.vibration.reshape(1, -1))
-            return loss_class(CLASS_TARGETS[pair.label], scores).item(), predict_label(scores) == pair.label
+            return (loss_class(CLASS_TARGETS[pair.label], scores).item(),
+                    100.0 * (predict_label(scores) == pair.label))
 
-    with _pinned_workers(cfg) as workers, \
-            _SampleParallel(params, cfg, workers, sample_loss, evaluate) as engine:
-        for epoch in range(cfg.classifier_epochs):
-            train_mse = 0.0
-            for batch in _batches(len(train), cfg.batch_size, rng):
-                losses = engine.step(batch)
-                train_mse += _batch_mean(losses) * len(losses)
-            train_mse /= len(train)
-            _require_finite(f"epoch {epoch}", {"train_mse": train_mse})
+    def reduce(steps):
+        return {"train_mse": sum(_batch_mean(losses) * len(losses) for losses in steps) / len(train)}
 
-            mse = 0.0
-            correct = 0
-            for value, hit in engine.evaluate(len(val_pairs)):
-                mse += value
-                correct += hit
-            val_mse, val_acc = mse / len(val_pairs), 100.0 * correct / len(val_pairs)
-            _require_finite(f"epoch {epoch}", {"val_mse": val_mse})
-            history.append({"epoch": epoch, "train_mse": train_mse,
-                            "val_mse": val_mse, "val_accuracy": val_acc})
-            if best is None or val_mse < best[0]:
-                best = (val_mse, [t.data.copy() for t in params])
-            if log:
-                log(f"epoch={epoch} train_mse={train_mse:.6f} val_mse={val_mse:.6f} "
-                    f"val_acc={val_acc:.2f}")
-
-    for t, data in zip(params, best[1]):
-        t.data = data
-    return model, history
+    epochs = ((f"epoch {epoch}", {"epoch": epoch}, _batches(len(train), cfg.batch_size, rng), True)
+              for epoch in range(cfg.classifier_epochs))
+    with _pinned_workers(cfg) as workers:
+        return _fit(model, cfg, workers, sample_loss, evaluate, len(val_pairs), epochs, reduce,
+                    ("val_mse", "val_accuracy"),
+                    "epoch={epoch} train_mse={train_mse:.6f} val_mse={val_mse:.6f} "
+                    "val_acc={val_accuracy:.2f}", log)
 
 
 def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
@@ -592,8 +220,6 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
         raise ConfigError(f"the detector expects {detector.l_seg}-sample segments; "
                           f"the model and pairs have {sorted(lengths)}")
 
-    params = [t for _, t in model.parameters()]
-
     rng = np.random.default_rng(cfg.seed)
     val_pairs = val if val else train
 
@@ -604,47 +230,28 @@ def train_transformer(train, val, cfg: TrainConfig, detector: FaultClassifier,
     def evaluate(i):
         with no_grad():
             sample = _sample_losses(model, detector, val_pairs[i], val_fixed[i])
-            return loss_total(*(t.item() for t in sample), cfg.lam)
+            return (loss_total(*(t.item() for t in sample), cfg.lam),)
 
-    history = []
-    best = None
-    val_total = float("nan")
-    it = 0
+    def reduce(steps):
+        (items,) = steps
+        time_l1, stft_l1, class_mse = (sum(col) / len(items) for col in zip(*items))
+        return {"time": time_l1, "stft": stft_l1, "class": class_mse,
+                "total": loss_total(time_l1, stft_l1, class_mse, cfg.lam)}
+
+    # one round per batch, over as many epochs as the iterations take
+    batches = (b for _ in itertools.count() for b in _batches(len(train), cfg.batch_size, rng))
+    iterations = ((f"iteration {it}", {"iter": it}, [batch],
+                   it == 1 or it % cfg.val_interval == 0 or it == cfg.max_iterations)
+                  for it, batch in zip(range(1, cfg.max_iterations + 1), batches))
     with _pinned_workers(cfg) as workers, _frozen([t for _, t in detector.parameters()]):
         # computed before the workers fork, so they inherit them, and on the
         # BLAS thread count the steps use
         train_fixed = _pair_constants(train, detector)
         val_fixed = _pair_constants(val_pairs, detector)
-        with _SampleParallel(params, cfg, workers, sample_loss, evaluate) as engine:
-            while it < cfg.max_iterations:
-                for batch in _batches(len(train), cfg.batch_size, rng):
-                    if it >= cfg.max_iterations:
-                        break
-                    items = engine.step(batch)
-                    it += 1
-
-                    time_l1, stft_l1, class_mse = (sum(col) / len(items) for col in zip(*items))
-                    _require_finite(f"iteration {it}", {"time": time_l1, "stft": stft_l1,
-                                                        "class": class_mse})
-                    total = loss_total(time_l1, stft_l1, class_mse, cfg.lam)
-                    if it == 1 or it % cfg.val_interval == 0 or it == cfg.max_iterations:
-                        val_total = 0.0
-                        for value in engine.evaluate(len(val_pairs)):
-                            val_total += value
-                        val_total /= len(val_pairs)
-                        _require_finite(f"iteration {it}", {"val_total": val_total})
-                        if best is None or val_total < best[0]:
-                            best = (val_total, [t.data.copy() for t in params])
-                    history.append({"iter": it, "time": time_l1, "stft": stft_l1,
-                                    "class": class_mse, "total": total, "val_total": val_total})
-                    if log:
-                        log(f"iter={it} time={time_l1:.6f} stft={stft_l1:.6f} "
-                            f"class={class_mse:.6f} total={total:.6f} val_total={val_total:.6f}")
-
-    if best is not None:
-        for t, data in zip(params, best[1]):
-            t.data = data
-    return model, history
+        return _fit(model, cfg, workers, sample_loss, evaluate, len(val_pairs), iterations,
+                    reduce, ("val_total",),
+                    "iter={iter} time={time:.6f} stft={stft:.6f} class={class:.6f} "
+                    "total={total:.6f} val_total={val_total:.6f}", log)
 
 
 @contextlib.contextmanager
@@ -688,7 +295,6 @@ def classify_pairs(detector, pairs, transformer=None):
     """Detector predictions over segments; with a transformer, classify the
     vibration synthesized from each segment's sound instead of the real one."""
     preds = []
-    labels = []
     with no_grad():
         for pair in pairs:
             if transformer is None:
@@ -696,8 +302,7 @@ def classify_pairs(detector, pairs, transformer=None):
             else:
                 vib = transformer(pair.sound.reshape(1, -1))
             preds.append(predict_label(detector(vib)))
-            labels.append(pair.label)
-    return preds, labels
+    return preds, [pair.label for pair in pairs]
 
 
 def run_experiment(cfg: TrainConfig, split: DataSplit, log=None):

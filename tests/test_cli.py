@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from opvib import cli, training
+from opvib import cli, parallel, training
 from opvib.dataio import load_recording, write_wav
 from opvib.models import OpUNet, load_checkpoint, save_checkpoint
 from opvib.signal import Signal
@@ -359,7 +359,7 @@ def test_resolved_config_is_echoed(dataset, capsys):
     assert out.startswith("config:")
 
 
-@pytest.mark.skipif(training._blas_threads() is None,
+@pytest.mark.skipif(parallel._blas_threads() is None,
                     reason="numpy's BLAS has no thread setter opvib knows")
 def test_reproducible_pins_blas_in_process_and_restores_it(tmp_path):
     # started with no thread variable set: the command itself holds BLAS at
@@ -368,8 +368,8 @@ def test_reproducible_pins_blas_in_process_and_restores_it(tmp_path):
     for name in THREAD_VARS:
         env.pop(name, None)
     script = ("import sys\n"
-              "from opvib import cli, training\n"
-              "get, _ = training._blas_threads()\n"
+              "from opvib import cli, parallel\n"
+              "get, _ = parallel._blas_threads()\n"
               "handler, required = cli._COMMANDS['gen-synthetic']\n"
               "def spy(opts):\n"
               "    print('during', get())\n"
@@ -391,7 +391,7 @@ def test_reproducible_pins_blas_in_process_and_restores_it(tmp_path):
 
 
 def test_reproducible_without_a_pinning_method_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(training, "_blas_threads", lambda: None)
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
     assert run(GEN + ["--healthy", "1", "--faulty", "1", "--out", str(tmp_path),
                       "--reproducible"]) == 2
     assert "cannot pin BLAS" in capsys.readouterr().err
@@ -401,11 +401,11 @@ def test_reproducible_without_a_pinning_method_exits_2(tmp_path, monkeypatch, ca
 def test_reproducible_refuses_a_blas_pin_that_does_not_take(tmp_path, monkeypatch, capsys):
     # a setter that is found but leaves the count at 2 must not pass for a pin
     get, put = fake_blas_threads(takes=False)
-    monkeypatch.setattr(training, "_blas_threads", lambda: (get, put))
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: (get, put))
     assert run(GEN + ["--healthy", "1", "--faulty", "1", "--out", str(tmp_path),
                       "--reproducible"]) == 2
     assert "cannot pin BLAS" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
     assert get() == 2
-    with training._pinned_workers(training.TrainConfig()) as workers:
+    with parallel._pinned_workers(training.TrainConfig()) as workers:
         assert workers == 1

@@ -56,14 +56,14 @@ def test_conv1d_input_grad_matches_per_tap_scatter(in_ch, out_ch, length, kernel
     x = Tensor(rng.standard_normal((in_ch, length)), requires_grad=True)
     w = rng.standard_normal((out_ch, in_ch, kernel))
     out = conv1d(x, w, None, stride, padding)
-    g = rng.standard_normal(out.shape)
+    g = rng.standard_normal(out.data.shape)
     out.backward(g)
     ref = conv1d_input_grad_loop(g, w, stride, padding, length)
     assert x.grad.shape == ref.shape
     np.testing.assert_allclose(x.grad, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     # padded position i is covered when some window j*stride <= i < j*stride + K holds it
     covered = np.zeros(length + 2 * padding, dtype=bool)
-    for j in range(out.shape[1]):
+    for j in range(out.data.shape[1]):
         covered[j * stride : j * stride + kernel] = True
     assert not x.grad[:, ~covered[padding : padding + length]].any()
 
@@ -98,7 +98,7 @@ def test_fused_conv_equals_power_stack_conv_tanh(c_in, c_out, kernel, stride, pa
         else:
             out = conv(power_stack(x, q), w, b, stride, padding)
             out = out.tanh() if tanh else out
-        out.backward(np.random.default_rng(seed + 1).standard_normal(out.shape).astype(np.float32))
+        out.backward(np.random.default_rng(seed + 1).standard_normal(out.data.shape).astype(np.float32))
         return [out.data, x.grad, w.grad] + ([b.grad] if with_bias else [])
 
     for fused, unfused in zip(run(True), run(False)):
@@ -118,7 +118,7 @@ def test_frames1d_backward_equals_per_frame_loop(n, frame_len, hop, seed, dtype)
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal(n).astype(dtype), requires_grad=True)
     frames = frames1d(x, frame_len, hop)
-    g = rng.standard_normal(frames.shape).astype(dtype)
+    g = rng.standard_normal(frames.data.shape).astype(dtype)
     frames.backward(g)
     assert x.grad.dtype == dtype
     assert np.array_equal(x.grad, frames1d_backward_loop(g, n, hop))

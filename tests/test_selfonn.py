@@ -125,8 +125,8 @@ def test_layer_weights_feed_the_conv_directly():
         out = layer(x)
         assert len(out._parents) == 3
         assert all(a is b for a, b in zip(out._parents, (x, layer.weights, layer.biases)))
-        assert layer.weights.shape == ((4, 3, 4) if transposed else (3, 4, 4))
-        out.backward(np.ones(out.shape, dtype=np.float32))
+        assert layer.weights.data.shape == ((4, 3, 4) if transposed else (3, 4, 4))
+        out.backward(np.ones(out.data.shape, dtype=np.float32))
         assert np.array_equal(x.data, data)
         with no_grad():
             assert layer(x)._parents == ()
@@ -187,6 +187,6 @@ def test_init_scale_follows_fan_in():
     assert weights.shape == (3, 4, 8, 5)
     # a layer keeps the same draw, re-laid out once to (out, Q*in, K)
     layer = OperationalLayer(cfg, np.random.default_rng(1))
-    assert layer.weights.shape == (4, 3 * 8, 5)
+    assert layer.weights.data.shape == (4, 3 * 8, 5)
     assert np.array_equal(layer.weights.data, to_gemm_layout(weights))
 

@@ -192,7 +192,7 @@ def test_fused_convs_check_power_order_and_channels():
     x = np.zeros((2, 10), dtype=np.float32)
     for conv, w in ((conv1d, np.zeros((3, 6, 3), np.float32)),
                     (transposed_conv1d, np.zeros((6, 3, 3), np.float32))):
-        assert conv(x, w, q=3).shape[0] == 3
+        assert conv(x, w, q=3).data.shape[0] == 3
         with pytest.raises(ShapeError, match="power order 2"):
             conv(x, w, q=2)
         for bad in (0, 1.5):
@@ -231,7 +231,7 @@ def test_transposed_conv_grads_equal_per_tap_gather(c_in, c_out, length, k, stri
     x = Tensor(rng.standard_normal((c_in, length)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.standard_normal((c_in, c_out, k)).astype(np.float32), requires_grad=True)
     out = transposed_conv1d(x, w, None, stride, padding)
-    g = rng.standard_normal(out.shape).astype(np.float32)
+    g = rng.standard_normal(out.data.shape).astype(np.float32)
     out.backward(g)
     l_full = (length - 1) * stride + k
     gfull = np.zeros((c_out, l_full), dtype=np.float32)
@@ -344,7 +344,7 @@ def test_leaf_gradients_own_their_memory(build):
     # .grad must still be its own array after backward()
     rng = np.random.default_rng(21)
     leaves, root = build(rng)
-    seed = rng.standard_normal(root.shape).astype(np.float32)
+    seed = rng.standard_normal(root.data.shape).astype(np.float32)
     root.backward(seed)
     nodes = _graph_nodes(root)
     for leaf in leaves:

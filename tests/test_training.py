@@ -13,17 +13,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opvib import optim, training
+from opvib import optim, parallel, training
 from opvib.dataio import SyntheticSpec, generate_synthetic, load_segment_pairs
 from opvib.losses import loss_class, loss_total
 from opvib.models import CLASS_TARGETS, ConfigError, FaultClassifier, OpUNet, parameter_count
+from opvib.parallel import WorkerError
 from opvib.selfonn import OperationalLayer
 from opvib.signal import SegmentPair
 from opvib.tensor import conv1d, power_stack, transposed_conv1d
 from opvib.training import (
     DataSplit,
     TrainConfig,
-    WorkerError,
     classify_pairs,
     split_dataset,
     train_fault_detector,
@@ -152,7 +152,7 @@ def trained_detector(small_dataset):
 
 
 def _use_workers(monkeypatch, count):
-    monkeypatch.setattr(training, "_worker_count", lambda cfg, pinned: count)
+    monkeypatch.setattr(parallel, "_worker_count", lambda cfg, pinned: count)
 
 
 def _transformer_with_nan_bias(trained_detector):
@@ -328,7 +328,7 @@ def test_a_slow_worker_takes_fewer_items():
             done.append((i, os.getpid() == caller))
         return done
 
-    workers = training._Workers(2, {"task": task})
+    workers = parallel._Workers(2, {"task": task})
     try:
         with _deadline(60):
             results = workers.map("task", range(10))
@@ -337,6 +337,32 @@ def test_a_slow_worker_takes_fewer_items():
     assert [i for i, _ in results] == list(range(10))
     assert [i for i, by_caller in results if not by_caller] == [1]
     assert multiprocessing.active_children() == []
+
+
+def test_a_child_busy_when_the_caller_closes_stops_quietly(tmp_path, capfd):
+    # the caller leaves in the middle of a task (Ctrl-C, say): the child
+    # claims no further item, finds the pipe closed and exits cleanly
+    caller = os.getpid()
+    log = tmp_path / "done"
+
+    def slow(items):
+        for i in items:
+            if os.getpid() != caller:
+                time.sleep(0.2)
+                with open(log, "a") as f:
+                    f.write(f"{i}\n")
+        return []
+
+    workers = parallel._Workers(2, {"task": slow})
+    proc, conn = workers.children[0]
+    workers.next[0] = 2                         # as map starts the claims
+    conn.send(("task", list(range(10))))
+    time.sleep(0.1)
+    with _deadline(30):
+        workers.close()
+    assert proc.exitcode == 0
+    assert len(log.read_text().split()) <= 2
+    assert capfd.readouterr().err == ""
 
 
 def _running(pid):
@@ -349,7 +375,7 @@ def _running(pid):
     return state not in ("Z", "X")
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self") or not training._can_fork(),
+@pytest.mark.skipif(not os.path.isdir("/proc/self") or not parallel._can_fork(),
                     reason="needs fork and /proc")
 def test_a_worker_exits_when_its_parent_is_killed(tmp_path):
     # the parent writes its child's pid to a file: its stdout would not
@@ -357,8 +383,8 @@ def test_a_worker_exits_when_its_parent_is_killed(tmp_path):
     pid_file = tmp_path / "child.pid"
     script = f"""
 import os, time
-from opvib import training
-workers = training._Workers(2, {{}})
+from opvib import parallel
+workers = parallel._Workers(2, {{}})
 with open({str(pid_file) + ".tmp"!r}, "w") as f:
     f.write(str(workers.children[0][0].pid))
 os.replace({str(pid_file) + ".tmp"!r}, {str(pid_file)!r})
@@ -465,7 +491,7 @@ def _caller_late_at_position_0(monkeypatch, log, seconds, then=None):
     ``then``; every worker appends ``"pid position"`` to ``log`` once it is
     done with a position, its gradient folded or waiting for its turn."""
     caller = os.getpid()
-    real_backward = training._SampleParallel._backward
+    real_backward = parallel._SampleParallel._backward
 
     def backward(self, jobs):
         def late(jobs):
@@ -479,7 +505,7 @@ def _caller_late_at_position_0(monkeypatch, log, seconds, then=None):
                     f.write(f"{os.getpid()} {pos}\n")
         return real_backward(self, late(jobs))
 
-    monkeypatch.setattr(training._SampleParallel, "_backward", backward)
+    monkeypatch.setattr(parallel._SampleParallel, "_backward", backward)
 
 
 def _done(log):
@@ -513,7 +539,7 @@ def test_gradients_done_out_of_turn_are_summed_in_sample_order(trained_detector,
 def test_the_arena_holds_one_gradient_row_whatever_the_batch(small_dataset, monkeypatch):
     split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
     size = parameter_count(FaultClassifier(l_seg=int(RATE)))
-    real_shared = training._shared
+    real_shared = parallel._shared
     _use_workers(monkeypatch, 2)
     for batch_size in (8, 32):
         made = []
@@ -523,7 +549,7 @@ def test_the_arena_holds_one_gradient_row_whatever_the_batch(small_dataset, monk
             made.append(array)
             return array
 
-        monkeypatch.setattr(training, "_shared", shared)
+        monkeypatch.setattr(parallel, "_shared", shared)
         cfg = TrainConfig(seed=22, batch_size=batch_size, classifier_epochs=1)
         train_fault_detector(split.train, split.val, cfg)
         # the parameter row, the gradient row and two int64 counters
@@ -589,26 +615,26 @@ def test_trained_parameters_of_two_dtypes_are_a_config_error(trained_detector):
 
 
 def _pinned_count(cfg):
-    with training._pinned_workers(cfg) as count:
+    with parallel._pinned_workers(cfg) as count:
         return count
 
 
 def test_default_worker_count_needs_verified_blas_pinning(monkeypatch):
     get, put = fake_blas_threads(takes=True)
-    monkeypatch.setattr(training, "_blas_threads", lambda: (get, put))
-    assert _pinned_count(TrainConfig()) == min(2, training._usable_cpus())
-    with training._pinned_workers(TrainConfig(batch_size=1)) as count:
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: (get, put))
+    assert _pinned_count(TrainConfig()) == min(2, parallel._usable_cpus())
+    with parallel._pinned_workers(TrainConfig(batch_size=1)) as count:
         assert count == 1 and get() == 1        # one worker computes pinned too
     assert get() == 2                           # and the count is restored
     # a setter that does not take, and no setter at all
-    monkeypatch.setattr(training, "_blas_threads", lambda: fake_blas_threads(takes=False))
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: fake_blas_threads(takes=False))
     assert _pinned_count(TrainConfig()) == 1
-    monkeypatch.setattr(training, "_blas_threads", lambda: None)
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
     assert _pinned_count(TrainConfig()) == 1
 
 
 def test_default_worker_count_without_fork_or_affinity(monkeypatch):
-    monkeypatch.setattr(training, "_blas_threads", lambda: fake_blas_threads(takes=True))
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: fake_blas_threads(takes=True))
     # macOS can fork but has no sched_getaffinity
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -617,10 +643,10 @@ def test_default_worker_count_without_fork_or_affinity(monkeypatch):
     assert _pinned_count(TrainConfig()) == 1
 
 
-@pytest.mark.skipif(training._blas_threads() is None,
+@pytest.mark.skipif(parallel._blas_threads() is None,
                     reason="numpy's BLAS has no thread setter opvib knows")
 def test_blas_thread_count_is_restored_after_a_raising_call(small_dataset, monkeypatch):
-    get, put = training._blas_threads()
+    get, put = parallel._blas_threads()
     saved = get()
     _use_workers(monkeypatch, 2)
     seen = []
@@ -646,8 +672,8 @@ def test_blas_thread_count_is_restored_after_a_raising_call(small_dataset, monke
         put(saved)
 
 
-@pytest.mark.skipif(training._usable_cpus() < 2 or not training._can_fork()
-                    or training._blas_threads() is None,
+@pytest.mark.skipif(parallel._usable_cpus() < 2 or not parallel._can_fork()
+                    or parallel._blas_threads() is None,
                     reason="needs 2 CPUs, fork and a BLAS thread setter")
 def test_two_workers_without_thread_variables_match_one(tmp_path):
     # a process started with no thread variable set, as library calls are; at
@@ -659,7 +685,7 @@ def test_two_workers_without_thread_variables_match_one(tmp_path):
     script = f"""
 import json, sys
 import numpy as np
-from opvib import training
+from opvib import parallel, training
 from opvib.dataio import SyntheticSpec, generate_synthetic, load_segment_pairs
 from opvib.models import FaultClassifier
 
@@ -674,20 +700,20 @@ stock = split(sys.argv[1] + "/stock")
 cfg = training.TrainConfig(seed=14, max_iterations=3, val_interval=2, classifier_epochs=1)
 counts = []
 
-class Spy(training._Workers):
+class Spy(parallel._Workers):
     def __init__(self, count, tasks):
         counts.append(count)
         super().__init__(count, tasks)
 
-training._Workers = Spy
-default_count = training._worker_count
-get, _ = training._blas_threads()
+parallel._Workers = Spy
+default_count = parallel._worker_count
+get, _ = parallel._blas_threads()
 before = get()
 
 def same_for_one_worker(train):
     runs = []
     for forced in (None, 1):
-        training._worker_count = (lambda cfg, pinned: forced) if forced else default_count
+        parallel._worker_count = (lambda cfg, pinned: forced) if forced else default_count
         model, history = train()
         runs.append((history, [t.data for _, t in model.parameters()]))
     return (runs[0][0] == runs[1][0]
