@@ -1,6 +1,17 @@
 """Network assemblies: the operational U-Net transformer and the cascaded
 fault classifier, plus parameter accounting and checkpoint serialization.
 
+Each network is one layer table, ``layers``: ``(name, layer)`` pairs built
+from its class's ``layer_plan(architecture)``, which checks the architecture
+and names each layer and its config without allocating:
+
+    OpUNet           encoder.0-4 (strided), decoder.0-4 (transposed)
+    FaultClassifier  oplayers.0-4 (strided), dense.0-1
+
+``named_layers()``, ``parameters()`` (``<name>.weights``, ``<name>.biases``),
+``describe()`` and the checkpoint descriptor follow the table's order, and
+``load_checkpoint`` checks a descriptor's architecture with the same plan.
+
 Checkpoint wire format (little-endian throughout):
 
     magic "OPVB" | version u32 | descriptor_len u32 | descriptor JSON |
@@ -101,7 +112,44 @@ class DenseLayer:
         return (x @ self.weights + self.biases).tanh()
 
 
-class OpUNet:
+class _Network:
+    """A network as one table of ``(name, layer)`` pairs, built from ``layer_plan``.
+
+    A subclass names its constructor's architecture arguments in ``ARCH``,
+    which are also the keys of :meth:`architecture`, and checks them in
+    ``layer_plan``, so a checkpoint descriptor is checked by the same code
+    that builds the model.  The layers draw their initial weights from one
+    generator seeded with ``seed``, in plan order.
+    """
+
+    def __init__(self, dtype, **arch):
+        plan = self.layer_plan(arch)
+        for key in self.ARCH:
+            # the U-Net's channels are a sequence; every other argument is one int
+            value = arch[key]
+            setattr(self, key, tuple(int(c) for c in value) if key == "channels" else int(value))
+        self.dtype = np.dtype(dtype)
+        rng = np.random.default_rng(arch["seed"])
+        self.layers = [(name, DenseLayer(*c, rng=rng, dtype=dtype) if isinstance(c, DenseConfig)
+                        else OperationalLayer(c, rng, dtype)) for name, c in plan]
+
+    def named_layers(self):
+        return list(self.layers)
+
+    def parameters(self):
+        return [(name, tensor) for name, tensor, _ in _parameter_entries(self)]
+
+    def architecture(self):
+        arch = {key: getattr(self, key) for key in self.ARCH}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in arch.items()}
+
+    @classmethod
+    def from_architecture(cls, arch):
+        return cls(**{key: arch[key] for key in cls.ARCH if key != "seed"},
+                   seed=arch.get("seed", 0))
+
+
+class OpUNet(_Network):
     """Length-preserving encoder/decoder of operational layers with skips.
 
     Five strided generative layers halve the signal length stage by stage;
@@ -113,13 +161,25 @@ class OpUNet:
     """
 
     KIND = "opunet"
+    ARCH = ("l_seg", "channels", "kernel", "decoder_kernel", "q", "seed")
     STRIDE = 2
 
     def __init__(self, l_seg=4096, channels=(8, 16, 32, 64, 128), kernel=7,
                  decoder_kernel=4, q=3, seed=0, dtype=np.float32):
+        super().__init__(dtype, l_seg=l_seg, channels=channels, kernel=kernel,
+                         decoder_kernel=decoder_kernel, q=q, seed=seed)
+        layers = [layer for _, layer in self.layers]
+        self.encoder, self.decoder = layers[:5], layers[5:]
+
+    @classmethod
+    def layer_plan(cls, arch):
+        """``[(name, OperationalLayerConfig), ...]`` of the layers ``arch`` builds,
+        in :meth:`named_layers` order, computed without allocating them;
+        raises :class:`ConfigError` for an architecture the model cannot have."""
+        l_seg, channels = arch["l_seg"], arch["channels"]
+        kernel, decoder_kernel, stride = arch["kernel"], arch["decoder_kernel"], cls.STRIDE
         if len(channels) != 5:
             raise ConfigError(f"expected 5 encoder widths, got {channels!r}")
-        stride = self.STRIDE
         down = stride ** len(channels)
         if l_seg % down != 0 or l_seg < down:
             raise ConfigError(
@@ -132,37 +192,18 @@ class OpUNet:
             raise ConfigError(
                 f"decoder kernel {decoder_kernel} cannot exactly double the length at stride {stride}"
             )
-        self.l_seg = int(l_seg)
-        self.channels = tuple(int(c) for c in channels)
-        self.kernel = int(kernel)
-        self.decoder_kernel = int(decoder_kernel)
-        self.q = int(q)
-        self.seed = int(seed)
-        self.dtype = np.dtype(dtype)
-
-        rng = np.random.default_rng(seed)
-        layers = [OperationalLayer(config, rng, dtype)
-                  for _, config in self.layer_plan(self.architecture())]
-        self.encoder, self.decoder = layers[:5], layers[5:]
-
-    @classmethod
-    def layer_plan(cls, arch):
-        """``[(name, OperationalLayerConfig), ...]`` of the layers ``arch`` builds,
-        in :meth:`named_layers` order, computed without allocating them."""
-        channels = tuple(int(c) for c in arch["channels"])
-        kernel, decoder_kernel, q = int(arch["kernel"]), int(arch["decoder_kernel"]), int(arch["q"])
-        stride = cls.STRIDE
+        channels = tuple(int(c) for c in channels)
+        kernel, decoder_kernel, q = int(kernel), int(decoder_kernel), int(arch["q"])
         enc_in = (1,) + channels[:-1]
-        encoder = [OperationalLayerConfig(enc_in[i], channels[i], kernel, q, stride=stride,
-                                          padding=(kernel - 1) // 2)
-                   for i in range(5)]
         dec_out = channels[-2::-1] + (1,)            # (c4, c3, c2, c1, 1)
         dec_in = (channels[-1],) + tuple(2 * c for c in channels[-2:0:-1]) + (2 * channels[0],)
-        decoder = [OperationalLayerConfig(dec_in[i], dec_out[i], decoder_kernel, q, stride=stride,
-                                          padding=(decoder_kernel - stride) // 2, transposed=True)
-                   for i in range(5)]
-        return ([(f"encoder.{i}", c) for i, c in enumerate(encoder)]
-                + [(f"decoder.{i}", c) for i, c in enumerate(decoder)])
+        return ([(f"encoder.{i}", OperationalLayerConfig(enc_in[i], channels[i], kernel, q,
+                                                         stride=stride, padding=(kernel - 1) // 2))
+                 for i in range(5)]
+                + [(f"decoder.{i}", OperationalLayerConfig(dec_in[i], dec_out[i], decoder_kernel, q,
+                                                           stride=stride, transposed=True,
+                                                           padding=(decoder_kernel - stride) // 2))
+                   for i in range(5)])
 
     def forward(self, sound):
         """Map a ``(1, l_seg)`` sound map to a ``(1, l_seg)`` vibration map."""
@@ -181,43 +222,17 @@ class OpUNet:
 
     __call__ = forward
 
-    def named_layers(self):
-        return ([(f"encoder.{i}", layer) for i, layer in enumerate(self.encoder)]
-                + [(f"decoder.{i}", layer) for i, layer in enumerate(self.decoder)])
-
-    def parameters(self):
-        return _named_parameters(self)
-
-    def architecture(self):
-        return {
-            "l_seg": self.l_seg,
-            "channels": list(self.channels),
-            "kernel": self.kernel,
-            "decoder_kernel": self.decoder_kernel,
-            "q": self.q,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_architecture(cls, arch):
-        return cls(l_seg=arch["l_seg"], channels=tuple(arch["channels"]), kernel=arch["kernel"],
-                   decoder_kernel=arch["decoder_kernel"], q=arch["q"], seed=arch.get("seed", 0))
-
     def describe(self):
         lines = [f"operational U-Net: l_seg={self.l_seg}, q={self.q}, "
                  f"parameters={parameter_count(self)}"]
-        for i, layer in enumerate(self.encoder):
+        for name, layer in self.layers:
             c = layer.config
-            lines.append(f"  encoder.{i}: {c.in_channels}->{c.out_channels} ch, "
-                         f"k={c.kernel}, stride={c.stride}, pad={c.padding}")
-        for i, layer in enumerate(self.decoder):
-            c = layer.config
-            lines.append(f"  decoder.{i}: {c.in_channels}->{c.out_channels} ch, "
-                         f"k={c.kernel}, stride={c.stride}, pad={c.padding} (transposed)")
+            lines.append(f"  {name}: {c.in_channels}->{c.out_channels} ch, k={c.kernel}, stride="
+                         f"{c.stride}, pad={c.padding}{' (transposed)' if c.transposed else ''}")
         return "\n".join(lines)
 
 
-class FaultClassifier:
+class FaultClassifier(_Network):
     """Compact operational classifier: 5 strided layers, 2 dense layers, tanh throughout.
 
     Kernel sizes (81, 41, 21, 7, 7) with strides (8, 4, 2, 2, 2) shrink a
@@ -226,31 +241,24 @@ class FaultClassifier:
     """
 
     KIND = "fault_classifier"
-
+    ARCH = ("l_seg", "hidden_channels", "dense_hidden", "q", "seed")
     KERNELS = (81, 41, 21, 7, 7)
     STRIDES = (8, 4, 2, 2, 2)
 
     def __init__(self, l_seg=4096, hidden_channels=16, dense_hidden=32, q=3, seed=0,
                  dtype=np.float32):
-        self.l_seg = int(l_seg)
-        self.hidden_channels = int(hidden_channels)
-        self.dense_hidden = int(dense_hidden)
-        self.q = int(q)
-        self.seed = int(seed)
-        self.dtype = np.dtype(dtype)
-
-        plan = self.layer_plan(self.architecture())
-        rng = np.random.default_rng(seed)
-        self.oplayers = [OperationalLayer(config, rng, dtype) for _, config in plan[:5]]
-        self.dense = [DenseLayer(*config, rng=rng, dtype=dtype) for _, config in plan[5:]]
+        super().__init__(dtype, l_seg=l_seg, hidden_channels=hidden_channels,
+                         dense_hidden=dense_hidden, q=q, seed=seed)
+        layers = [layer for _, layer in self.layers]
+        self.oplayers, self.dense = layers[:5], layers[5:]
         self.flat_size = self.dense[0].n_in
-        self.feature_length = self.flat_size // self.hidden_channels
 
     @classmethod
     def layer_plan(cls, arch):
         """``[(name, OperationalLayerConfig | DenseConfig), ...]`` of the layers
         ``arch`` builds, in :meth:`named_layers` order, computed without
-        allocating them."""
+        allocating them; raises :class:`ConfigError` for an input too short
+        for the stride chain."""
         l_seg, hidden, q = int(arch["l_seg"]), int(arch["hidden_channels"]), int(arch["q"])
         in_ch = (1,) + (hidden,) * 4
         plan = []
@@ -287,27 +295,6 @@ class FaultClassifier:
 
     __call__ = forward
 
-    def named_layers(self):
-        return ([(f"oplayers.{i}", layer) for i, layer in enumerate(self.oplayers)]
-                + [(f"dense.{i}", layer) for i, layer in enumerate(self.dense)])
-
-    def parameters(self):
-        return _named_parameters(self)
-
-    def architecture(self):
-        return {
-            "l_seg": self.l_seg,
-            "hidden_channels": self.hidden_channels,
-            "dense_hidden": self.dense_hidden,
-            "q": self.q,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_architecture(cls, arch):
-        return cls(l_seg=arch["l_seg"], hidden_channels=arch["hidden_channels"],
-                   dense_hidden=arch["dense_hidden"], q=arch["q"], seed=arch.get("seed", 0))
-
 
 _MODEL_KINDS = {OpUNet.KIND: OpUNet, FaultClassifier.KIND: FaultClassifier}
 
@@ -319,16 +306,9 @@ def _parameter_entries(model):
     kernels, which checkpoints store as ``(Q, out, in, K)`` whatever the
     in-memory layout; it is None for every other parameter.
     """
-    entries = []
-    for prefix, layer in model.named_layers():
-        config = layer.config if isinstance(layer, OperationalLayer) else None
-        entries.append((f"{prefix}.weights", layer.weights, config))
-        entries.append((f"{prefix}.biases", layer.biases, None))
-    return entries
-
-
-def _named_parameters(model):
-    return [(name, tensor) for name, tensor, _ in _parameter_entries(model)]
+    return [(f"{prefix}.{part}", getattr(layer, part),
+             layer.config if part == "weights" and isinstance(layer, OperationalLayer) else None)
+            for prefix, layer in model.named_layers() for part in ("weights", "biases")]
 
 
 def _stored_shapes(plan):
@@ -343,12 +323,6 @@ def _stored_shapes(plan):
     return shapes
 
 
-def _stored_array(tensor, config):
-    if config is None:
-        return tensor.data
-    return to_paper_layout(tensor.data, config.q, config.transposed)
-
-
 def parameter_count(model):
     """Total learnable values: out*in*K*Q + out per operational layer,
     out*in + out per dense layer."""
@@ -360,7 +334,8 @@ def save_checkpoint(model, path, meta=None):
     parent = Path(path).parent
     if parent and not parent.exists():
         parent.mkdir(parents=True, exist_ok=True)
-    stored = [(name, _stored_array(t, config)) for name, t, config in _parameter_entries(model)]
+    stored = [(name, t.data if c is None else to_paper_layout(t.data, c.q, c.transposed))
+              for name, t, c in _parameter_entries(model)]
     descriptor = {
         "kind": model.KIND,
         "arch": model.architecture(),

@@ -131,7 +131,8 @@ class _Arena:
     The parameters form one flat row, and their gradient one more row of
     the same dtype: the sum ``((g0 + g1) + g2) + ...`` of the batch, folded
     in position order.  The parameters are rebound as views into their
-    row, so forked workers read every update; ``release`` rebinds them.
+    row, so forked workers read every update; ``release`` gives those still
+    on it copies of their own.
     """
 
     def __init__(self, params):
@@ -139,12 +140,12 @@ class _Arena:
         if len(dtypes) != 1:
             raise ConfigError(f"trained parameters of several dtypes: {sorted(map(str, dtypes))}")
         self.params = params
-        flat = _shared(sum(t.data.size for t in params), dtypes.pop())
-        self.grad = _shared(flat.size, flat.dtype)
+        self.row = _shared(sum(t.data.size for t in params), dtypes.pop())
+        self.grad = _shared(self.row.size, self.row.dtype)
         self.spans = []
         start = 0
         for t in params:
-            view = flat[start : start + t.data.size].reshape(t.data.shape)
+            view = self.row[start : start + t.data.size].reshape(t.data.shape)
             view[...] = t.data
             t.data = view
             self.spans.append(slice(start, start + view.size))
@@ -175,7 +176,8 @@ class _Arena:
 
     def release(self):
         for t in self.params:
-            t.data = t.data.copy()
+            if np.may_share_memory(t.data, self.row):
+                t.data = t.data.copy()
 
 
 def _reply(k, proc, conn):

@@ -150,8 +150,10 @@ def _fit(model, cfg, workers, sample_loss, evaluate, val_count, rounds, reduce, 
             history.append({**head, **values, **val})
             if log:
                 log(line.format_map(history[-1]))
-    for t, data in zip(params, best[1]):
-        t.data = data
+        # the best weights take the parameters off the shared row, so the
+        # engine's exit copies none of them
+        for t, data in zip(params, best[1]):
+            t.data = data
     return model, history
 
 

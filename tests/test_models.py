@@ -146,12 +146,12 @@ def test_classifier_scores_and_argmax():
 def test_classifier_stride_chain_matches_dense_input():
     for l_seg in (256, 1024, 4096):
         clf = FaultClassifier(l_seg=l_seg)
-        assert clf.flat_size == clf.hidden_channels * clf.feature_length
+        assert clf.flat_size % clf.hidden_channels == 0
         assert clf.dense[0].n_in == clf.flat_size
         length = l_seg
         for layer in clf.oplayers:
             length = layer.config.output_length(length)
-        assert length == clf.feature_length
+        assert length == clf.flat_size // clf.hidden_channels
 
 
 def test_classifier_rejects_wrong_length():
@@ -318,6 +318,32 @@ def test_layer_plan_names_the_shapes_a_checkpoint_stores(tmp_path, model):
             planned += [[f"{prefix}.weights", [c.q, c.out_channels, c.in_channels, c.kernel]],
                         [f"{prefix}.biases", [c.out_channels]]]
     assert planned == stored
+
+
+@pytest.mark.parametrize("klass, arch", [
+    (OpUNet, {"l_seg": 1000}),
+    (OpUNet, {"kernel": 6}),
+    (OpUNet, {"decoder_kernel": 5}),
+    (OpUNet, {"channels": [8, 16, 32, 64]}),
+    (FaultClassifier, {"l_seg": 0}),
+], ids=["l_seg-not-multiple-of-32", "even-kernel", "odd-decoder-kernel", "four-widths",
+        "stride-chain-collapses"])
+def test_layer_plan_rejects_what_the_constructor_rejects(tmp_path, klass, arch):
+    # the constructor builds from layer_plan, and load_checkpoint checks a
+    # descriptor with it before building, so both refuse the same architectures
+    arch = {**klass().architecture(), **arch}
+    with pytest.raises(ConfigError):
+        klass.from_architecture(arch)
+    with pytest.raises(ConfigError):
+        klass.layer_plan(arch)
+    path = tmp_path / "m.opvb"
+    save_checkpoint(klass(l_seg=256), path)
+    blob = path.read_bytes()
+    descriptor = json.loads(checkpoint_parts(blob)[0])
+    descriptor["arch"] = arch
+    path.write_bytes(with_descriptor(blob, json.dumps(descriptor).encode()))
+    with pytest.raises(CheckpointError, match="cannot build"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_arch_larger_than_payload_raises_before_allocating(tmp_path):

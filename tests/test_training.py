@@ -556,6 +556,23 @@ def test_the_arena_holds_one_gradient_row_whatever_the_batch(small_dataset, monk
         assert sorted(a.nbytes for a in made) == [8, 8, 4 * size, 4 * size]
 
 
+def test_a_successful_call_copies_nothing_out_of_the_arena(small_dataset, monkeypatch):
+    # the best weights replace the parameters' views of the shared row before
+    # the engine exits, so its release finds nothing left to copy
+    split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
+    real_release = parallel._Arena.release
+    kept = []
+
+    def release(self):
+        before = [t.data for t in self.params]
+        real_release(self)
+        kept.append(all(t.data is b and b.base is None for t, b in zip(self.params, before)))
+
+    monkeypatch.setattr(parallel._Arena, "release", release)
+    train_fault_detector(split.train, split.val, TrainConfig(seed=22, classifier_epochs=2))
+    assert kept == [True]
+
+
 def test_a_caller_failing_while_a_child_waits_for_its_turn_stops_the_child(trained_detector,
                                                                            monkeypatch, tmp_path):
     # the child is done with positions 1 and 2 and waits for the turn of 1,
