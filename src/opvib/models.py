@@ -3,14 +3,17 @@ fault classifier, plus parameter accounting and checkpoint serialization.
 
 Each network is one layer table, ``layers``: ``(name, layer)`` pairs built
 from its class's ``layer_plan(architecture)``, which checks the architecture
-and names each layer and its config without allocating:
+(every value an integer, not a bool or a float) and names each layer and its
+config without allocating:
 
     OpUNet           encoder.0-4 (strided), decoder.0-4 (transposed)
     FaultClassifier  oplayers.0-4 (strided), dense.0-1
 
 ``named_layers()``, ``parameters()`` (``<name>.weights``, ``<name>.biases``),
-``describe()`` and the checkpoint descriptor follow the table's order, and
-``load_checkpoint`` checks a descriptor's architecture with the same plan.
+``describe()`` and the checkpoint descriptor follow the table's order.
+``load_checkpoint`` checks a descriptor's architecture with the same plan,
+compares the descriptor's parameter list with the plan's, and reads the
+payload at the plan's shapes, so no dimension is taken from the file.
 
 Checkpoint wire format (little-endian throughout):
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,6 +90,13 @@ class PayloadMismatchError(CheckpointError):
     """Architecture descriptor and parameter payload sizes disagree."""
 
 
+def _integer(name, value):
+    """``value`` as an int; a bool or a float, ``3.0`` too, raises :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def predict_label(scores):
     """Argmax over the 2-vector of class scores."""
     arr = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
@@ -100,8 +111,7 @@ class DenseConfig(NamedTuple):
 class DenseLayer:
     """Fully connected layer on row vectors: ``tanh((1, n) @ W + b)``."""
 
-    def __init__(self, n_in, n_out, rng=None, dtype=np.float32):
-        rng = rng if rng is not None else np.random.default_rng()
+    def __init__(self, n_in, n_out, rng, dtype):
         limit = 1.0 / np.sqrt(n_in)
         self.weights = Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(dtype),
                               requires_grad=True)
@@ -118,19 +128,22 @@ class _Network:
     A subclass names its constructor's architecture arguments in ``ARCH``,
     which are also the keys of :meth:`architecture`, and checks them in
     ``layer_plan``, so a checkpoint descriptor is checked by the same code
-    that builds the model.  The layers draw their initial weights from one
-    generator seeded with ``seed``, in plan order.
+    that builds the model.  The values are stored as Python ints, so a model
+    built from numpy integers saves JSON integers.  The layers draw their
+    initial weights from one generator seeded with ``seed``, in plan order.
     """
 
     def __init__(self, dtype, **arch):
         plan = self.layer_plan(arch)
         for key in self.ARCH:
-            # the U-Net's channels are a sequence; every other argument is one int
+            # the U-Net's channels are a sequence; every other argument is one
+            # integer, the seed too, which the plan does not use
             value = arch[key]
-            setattr(self, key, tuple(int(c) for c in value) if key == "channels" else int(value))
+            setattr(self, key, tuple(_integer(key, c) for c in value) if key == "channels"
+                    else _integer(key, value))
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(arch["seed"])
-        self.layers = [(name, DenseLayer(*c, rng=rng, dtype=dtype) if isinstance(c, DenseConfig)
+        self.layers = [(name, DenseLayer(*c, rng, dtype) if isinstance(c, DenseConfig)
                         else OperationalLayer(c, rng, dtype)) for name, c in plan]
 
     def named_layers(self):
@@ -176,8 +189,9 @@ class OpUNet(_Network):
         """``[(name, OperationalLayerConfig), ...]`` of the layers ``arch`` builds,
         in :meth:`named_layers` order, computed without allocating them;
         raises :class:`ConfigError` for an architecture the model cannot have."""
-        l_seg, channels = arch["l_seg"], arch["channels"]
-        kernel, decoder_kernel, stride = arch["kernel"], arch["decoder_kernel"], cls.STRIDE
+        l_seg, kernel, decoder_kernel, q = (_integer(key, arch[key]) for key in
+                                            ("l_seg", "kernel", "decoder_kernel", "q"))
+        channels, stride = tuple(_integer("channels", c) for c in arch["channels"]), cls.STRIDE
         if len(channels) != 5:
             raise ConfigError(f"expected 5 encoder widths, got {channels!r}")
         down = stride ** len(channels)
@@ -192,8 +206,6 @@ class OpUNet(_Network):
             raise ConfigError(
                 f"decoder kernel {decoder_kernel} cannot exactly double the length at stride {stride}"
             )
-        channels = tuple(int(c) for c in channels)
-        kernel, decoder_kernel, q = int(kernel), int(decoder_kernel), int(arch["q"])
         enc_in = (1,) + channels[:-1]
         dec_out = channels[-2::-1] + (1,)            # (c4, c3, c2, c1, 1)
         dec_in = (channels[-1],) + tuple(2 * c for c in channels[-2:0:-1]) + (2 * channels[0],)
@@ -259,7 +271,8 @@ class FaultClassifier(_Network):
         ``arch`` builds, in :meth:`named_layers` order, computed without
         allocating them; raises :class:`ConfigError` for an input too short
         for the stride chain."""
-        l_seg, hidden, q = int(arch["l_seg"]), int(arch["hidden_channels"]), int(arch["q"])
+        l_seg, hidden, dense_hidden, q = (_integer(key, arch[key]) for key in
+                                          ("l_seg", "hidden_channels", "dense_hidden", "q"))
         in_ch = (1,) + (hidden,) * 4
         plan = []
         length = l_seg
@@ -274,7 +287,6 @@ class FaultClassifier(_Network):
                     f"the stride chain requires a longer input"
                 )
             plan.append((f"oplayers.{i}", config))
-        dense_hidden = int(arch["dense_hidden"])
         return plan + [("dense.0", DenseConfig(hidden * length, dense_hidden)),
                        ("dense.1", DenseConfig(dense_hidden, 2))]
 
@@ -331,9 +343,7 @@ def parameter_count(model):
 
 def save_checkpoint(model, path, meta=None):
     """Serialize architecture + float32 parameters; round-trips bit-exactly."""
-    parent = Path(path).parent
-    if parent and not parent.exists():
-        parent.mkdir(parents=True, exist_ok=True)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     stored = [(name, t.data if c is None else to_paper_layout(t.data, c.q, c.transposed))
               for name, t, c in _parameter_entries(model)]
     descriptor = {
@@ -356,25 +366,6 @@ def save_checkpoint(model, path, meta=None):
     with open(path, "wb") as fh:
         fh.write(body + crc.to_bytes(4, "little"))
     return path
-
-
-def _is_shape(value):
-    return isinstance(value, list) and all(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in value)
-
-
-def _param_shapes(path, descriptor):
-    """The descriptor's ``[[name, shape], ...]`` list, checked entry by entry."""
-    if not isinstance(descriptor, dict):
-        raise CheckpointError(f"{path}: descriptor is a JSON {type(descriptor).__name__}, "
-                              f"not an object")
-    shapes = descriptor.get("params", [])
-    if not isinstance(shapes, list) or not all(
-            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and _is_shape(e[1])
-            for e in shapes):
-        raise CheckpointError(f"{path}: descriptor params must be a list of "
-                              f"[name, shape] pairs with non-negative integer dims")
-    return shapes
 
 
 def load_checkpoint(path):
@@ -400,11 +391,34 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: descriptor is not valid JSON: {exc}") from exc
 
+    if not isinstance(descriptor, dict):
+        raise CheckpointError(f"{path}: descriptor is a JSON {type(descriptor).__name__}, "
+                              f"not an object")
+    kind = descriptor.get("kind")
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    arch = descriptor.get("arch")
+    if not isinstance(arch, dict):
+        raise CheckpointError(f"{path}: descriptor has no architecture object")
+    # the architecture's plan gives every stored shape, so an arch asking for
+    # more than the payload holds raises here instead of allocating it
+    model_class = _MODEL_KINDS[kind]
+    try:
+        expected = _stored_shapes(model_class.layer_plan(arch))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: cannot build a {kind} from {arch!r}: {exc!r}") from exc
+    params = descriptor.get("params")
+    for got, want in zip_longest(params if isinstance(params, list) else [],
+                                 [[name, list(shape)] for name, shape in expected]):
+        # the reprs tell a float or bool dimension (2.0, true) from an int one
+        if got != want or repr(got) != repr(want):
+            raise PayloadMismatchError(f"{path}: descriptor parameter list departs from "
+                                       f"the architecture's at {want or 'its end'}")
+
     # size checks precede the CRC so truncation reports as truncation,
     # not as generic corruption
     payload = blob[desc_end:-4]
-    shapes = _param_shapes(path, descriptor)
-    needed = sum(math.prod(shape) for _, shape in shapes) * 4
+    needed = sum(math.prod(shape) for _, shape in expected) * 4
     if len(payload) < needed:
         raise TruncatedCheckpointError(
             f"{path}: payload holds {len(payload)} bytes, descriptor demands {needed}"
@@ -417,37 +431,15 @@ def load_checkpoint(path):
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"{path}: CRC mismatch, file is corrupt")
 
-    kind = descriptor.get("kind")
-    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
-        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     meta = descriptor.get("meta", {})
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: meta is a JSON {type(meta).__name__}, not an object")
-    arch = descriptor.get("arch")
-    if not isinstance(arch, dict):
-        raise CheckpointError(f"{path}: descriptor has no architecture object")
-    # the descriptor's shapes are checked against the architecture's before
-    # the model is built, so an arch asking for more than the payload holds
-    # raises here instead of allocating it
-    model_class = _MODEL_KINDS[kind]
-    try:
-        expected = _stored_shapes(model_class.layer_plan(arch))
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"{path}: cannot build a {kind} from {arch!r}: {exc!r}") from exc
-    if [n for n, _ in shapes] != [n for n, _ in expected]:
-        raise PayloadMismatchError(f"{path}: parameter names disagree with the architecture")
-    for (name, shape), (_, want) in zip(shapes, expected):
-        if tuple(shape) != want:
-            raise PayloadMismatchError(
-                f"{path}: parameter {name} shape {tuple(shape)} disagrees with "
-                f"the architecture's {want}"
-            )
     try:
         model = model_class.from_architecture(arch)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: cannot build a {kind} from {arch!r}: {exc!r}") from exc
     offset = 0
-    for (_, shape), (_, target, config) in zip(shapes, _parameter_entries(model)):
+    for (_, shape), (_, target, config) in zip(expected, _parameter_entries(model)):
         size = math.prod(shape)
         arr = np.frombuffer(payload, dtype="<f4", count=size, offset=offset).reshape(shape)
         offset += size * 4

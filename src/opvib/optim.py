@@ -1,7 +1,7 @@
 """Bias-corrected Adam parameter updates.
 
-Defaults follow the optimizer's de facto settings (beta1=0.9, beta2=0.999,
-eps=1e-8); only the learning rate is expected to be tuned by callers.
+The moment decays and epsilon are the de facto settings ``BETA1``,
+``BETA2`` and ``EPS``; only the learning rate is tuned by callers.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from .tensor import ShapeError
 
 __all__ = ["Adam"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam over a fixed list of tensors, updating each one's array in place.
@@ -21,12 +23,9 @@ class Adam:
     gradient were zero.
     """
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
@@ -38,15 +37,14 @@ class Adam:
                 raise ShapeError(f"shape mismatch at parameter {i}: param {p.data.shape}, "
                                  f"grad {g.shape}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
     def zero_grad(self):
         for p in self.params:

@@ -106,9 +106,8 @@ class OperationalLayer:
     the ``(Q, out, in, K)`` form.
     """
 
-    def __init__(self, config: OperationalLayerConfig, rng=None, dtype=np.float32):
+    def __init__(self, config: OperationalLayerConfig, rng, dtype=np.float32):
         self.config = config
-        rng = rng if rng is not None else np.random.default_rng()
         weights, biases = init_generative_weights(rng, config, dtype)
         self.weights = Tensor(np.ascontiguousarray(to_gemm_layout(weights, config.transposed)),
                               requires_grad=True)

@@ -479,8 +479,7 @@ def _conv1d_input_grad(g, w, stride, padding, length):
     c_out, c_in, k = w.shape
     l_out = g.shape[1]
     taps = -(-k // stride)                     # taps of phase 0, the longest
-    gpad = np.zeros((c_out, l_out + 2 * (taps - 1)), dtype=g.dtype)
-    gpad[:, taps - 1 : taps - 1 + l_out] = g
+    gpad = _padded(g, taps - 1)
     gx = np.zeros((c_in, length), dtype=g.dtype)
     w_rows = w.transpose(0, 2, 1)
     for t in range(min(stride, k)):
@@ -552,9 +551,7 @@ def transposed_conv1d(x, weights, bias=None, stride=1, padding=0, q=1, tanh=Fals
             g = _tanh_grad(g, out_data)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=1))
-        gfull = np.zeros((c_out, l_full), dtype=g.dtype)
-        gfull[:, padding : l_full - padding] = g
-        gcols_m = _im2col(gfull, k, stride)
+        gcols_m = _im2col(_padded(g, padding), k, stride)
         xs = _powers(xd, q) if q > 1 else xd   # formed again, not kept
         if weights.requires_grad:
             weights._accumulate((xs @ gcols_m.T).reshape(qc_in, c_out, k))

@@ -53,9 +53,10 @@ class TrainConfig:
     val_interval: int = 25
 
     def __post_init__(self):
-        for name in ("batch_size", "max_iterations", "classifier_epochs", "val_interval"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for name in ("batch_size", "max_iterations", "classifier_epochs", "val_interval", "seed"):
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (np.isfinite(self.lam) and self.lam >= 0):

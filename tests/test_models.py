@@ -326,11 +326,18 @@ def test_layer_plan_names_the_shapes_a_checkpoint_stores(tmp_path, model):
     (OpUNet, {"decoder_kernel": 5}),
     (OpUNet, {"channels": [8, 16, 32, 64]}),
     (FaultClassifier, {"l_seg": 0}),
+    (OpUNet, {"q": 2.5}),
+    (OpUNet, {"q": True}),
+    (OpUNet, {"kernel": 7.0}),
+    (OpUNet, {"channels": [8, 16.0, 32, 64, 128]}),
+    (FaultClassifier, {"l_seg": 256.9}),
 ], ids=["l_seg-not-multiple-of-32", "even-kernel", "odd-decoder-kernel", "four-widths",
-        "stride-chain-collapses"])
+        "stride-chain-collapses", "float-q", "bool-q", "integral-float-kernel",
+        "float-channel", "float-l_seg"])
 def test_layer_plan_rejects_what_the_constructor_rejects(tmp_path, klass, arch):
     # the constructor builds from layer_plan, and load_checkpoint checks a
-    # descriptor with it before building, so both refuse the same architectures
+    # descriptor with it before building, so both refuse the same architectures;
+    # a bool or float value, which int() once truncated, is refused too
     arch = {**klass().architecture(), **arch}
     with pytest.raises(ConfigError):
         klass.from_architecture(arch)
@@ -344,6 +351,20 @@ def test_layer_plan_rejects_what_the_constructor_rejects(tmp_path, klass, arch):
     path.write_bytes(with_descriptor(blob, json.dumps(descriptor).encode()))
     with pytest.raises(CheckpointError, match="cannot build"):
         load_checkpoint(path)
+
+
+def test_numpy_integer_architecture_saves_json_integers(tmp_path):
+    # the model keeps Python ints: a numpy int went through json.dumps'
+    # default=float as 2.0, which the integer check would then refuse on load
+    model = OpUNet(l_seg=np.int64(256), channels=np.array([2] * 5), kernel=np.int32(5), q=np.int64(2))
+    path = tmp_path / "np.opvb"
+    save_checkpoint(model, path)
+    arch = json.loads(checkpoint_parts(path.read_bytes())[0])["arch"]
+    assert all(type(v) is int for key, v in arch.items() if key != "channels")
+    assert all(type(c) is int for c in arch["channels"])
+    loaded, _ = load_checkpoint(path)
+    for (name, want), (_, got) in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(got.data, want.data), name
 
 
 def test_checkpoint_arch_larger_than_payload_raises_before_allocating(tmp_path):

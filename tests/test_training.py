@@ -108,9 +108,17 @@ def test_split_rejects_bad_durations(kwargs, name):
     ({"learning_rate": float("nan")}, "learning_rate"),
     ({"learning_rate": float("inf")}, "learning_rate"),
     ({"learning_rate": 0.0}, "learning_rate"),
+    ({"val_interval": 2.5}, "val_interval"),
+    ({"batch_size": True}, "batch_size"),
+    ({"max_iterations": 3.7}, "max_iterations"),
+    ({"classifier_epochs": 2.0}, "classifier_epochs"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
 ])
 def test_config_rejects_bad_lam_and_learning_rate(kwargs, name):
-    # a negative lam trained the U-Net to maximize the time and spectral error
+    # a negative lam trained the U-Net to maximize the time and spectral error;
+    # a fractional val_interval validated at its multiples only, and batch_size
+    # True trained at batch 1
     with pytest.raises(ValueError, match=name):
         TrainConfig(**kwargs)
 
