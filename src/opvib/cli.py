@@ -4,11 +4,13 @@ Subcommands cover the full workflow: synthetic dataset generation,
 detector pre-training, cascaded transformer training, sound-to-vibration
 synthesis, Table-style evaluation, and the inference latency benchmark.
 
-Every command accepts ``--seed``, ``--reproducible`` and ``--config FILE``
-(plain ``key=value`` lines, one key per option of the command).  Explicit
-flags override the config file, which overrides built-in defaults; the
-fully resolved configuration is echoed before the command runs.  Exit
-codes: 0 success, 1 runtime failure, 2 invalid flags or config keys.
+Every command accepts ``--seed`` and ``--reproducible``.  An argument
+``@FILE`` is replaced by the arguments in FILE, one per line (such as
+``--batch-size=4``; blank and ``#`` lines are skipped), so each is parsed
+and checked by its flag, and a later argument overrides an earlier one.
+Any argument that starts with ``@`` is read as a file name.  The fully
+resolved configuration is echoed before the command runs.  Exit codes: 0
+success, 1 runtime failure, 2 invalid flags or argument files.
 
 ``--reproducible`` holds numpy's BLAS at one thread for the whole command,
 through the BLAS's own thread setter (``opvib.parallel.one_blas_thread``),
@@ -54,13 +56,18 @@ from .training import (
 _TRAIN = TrainConfig()
 _SPEC = SyntheticSpec()
 
-# flags that steer the run rather than the command: neither echoed nor config keys
-_RUN_FLAGS = ("help", "config", "reproducible")
+
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line):
+        """One argument per line of an @FILE; blank and ``#`` lines are skipped."""
+        line = arg_line.strip()
+        return [line] if line and not line.startswith("#") else []
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opvib",
+        fromfile_prefix_chars="@",
         description="Sound-to-vibration transformation and bearing fault detection "
                     "with 1D operational networks.",
     )
@@ -70,7 +77,6 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=_TRAIN.seed, help="run seed (default: %(default)s)")
     common.add_argument("--reproducible", action="store_true",
                         help="single-threaded, byte-deterministic mode")
-    common.add_argument("--config", help="key=value file overriding built-in defaults")
 
     split = argparse.ArgumentParser(add_help=False)
     split.add_argument("--manifest", help="dataset manifest (required)")
@@ -88,10 +94,9 @@ def _build_parser():
                      help="learning rate (default: %(default)s)")
 
     def command(name, summary, *parents):
-        p = sub.add_parser(name, help=summary, parents=[common, *parents])
-        # _parse types and applies a config file through the subcommand's own flags
-        p.set_defaults(subparser=p)
-        return p
+        return sub.add_parser(name, help=summary, parents=[common, *parents],
+                              epilog="@FILE reads arguments from FILE, one per line (such as "
+                                     "--seed=7); a later argument overrides an earlier one")
 
     p = command("gen-synthetic", "write a deterministic synthetic paired dataset")
     # the CLI writes 60 + 60 segments by default, more than SyntheticSpec's 16 + 16
@@ -143,56 +148,6 @@ def _build_parser():
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     return parser
-
-
-def _read_config_file(parser, path):
-    """The ``key=value`` lines of ``path``; a file that cannot be read is a usage error."""
-    values = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        parser.error(f"cannot read config file {path}: {exc}")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            parser.error(f"config file {path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _coerce(parser, action, raw):
-    """A config-file string parsed as the flag ``action`` parses its argument."""
-    if action.nargs == 0:                      # a store_true switch
-        if raw.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            parser.error(f"config value {action.dest}={raw!r}: expected true or false")
-        return raw.lower() in ("1", "true", "yes", "on")
-    try:
-        value = action.type(raw) if action.type else raw
-    except ValueError:
-        parser.error(f"config value {action.dest}={raw!r}: invalid {action.type.__name__} value")
-    if action.choices is not None and value not in action.choices:
-        parser.error(f"config value {action.dest}={raw!r}: choose from "
-                     f"{', '.join(map(repr, action.choices))}")
-    return value
-
-
-def _parse(parser, argv):
-    """flags > config file > defaults; returns the namespace and the command's options."""
-    args = parser.parse_args(argv)
-    sub = args.subparser
-    actions = {a.dest: a for a in sub._actions if a.dest not in _RUN_FLAGS}
-    if args.config:
-        config = _read_config_file(sub, args.config)
-        unknown = [key for key in config if key not in actions]
-        if unknown:
-            sub.error(f"config keys that are not options of {args.command}: {', '.join(unknown)} "
-                      f"(options: {', '.join(sorted(actions))})")
-        sub.set_defaults(**{key: _coerce(sub, actions[key], raw) for key, raw in config.items()})
-        args = parser.parse_args(argv)
-    return args, {dest: getattr(args, dest) for dest in actions}
 
 
 def _echo(opts, reproducible):
@@ -361,7 +316,13 @@ _COMMANDS = {
 
 def main(argv=None):
     parser = _build_parser()
-    args, opts = _parse(parser, argv)
+    try:
+        args = parser.parse_args(argv)
+    except UnicodeDecodeError as exc:  # argparse turns only an OSError into a usage error
+        parser.error(f"cannot decode an @FILE: {exc}")
+    except RecursionError:
+        parser.error("an @FILE includes itself, directly or through another @FILE")
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "reproducible")}
     handler, required = _COMMANDS[args.command]
     if args.command == "gen-synthetic" and (min(opts["healthy"], opts["faulty"]) < 0
                                             or opts["healthy"] + opts["faulty"] < 1):

@@ -360,6 +360,9 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
     every speed.  Identical ``spec`` (including seed) yields byte-identical
     files.
     """
+    if any(isinstance(c, bool) or not isinstance(c, int) for c in (spec.num_healthy, spec.num_faulty)):
+        raise DataError(f"synthetic spec needs integer counts, got {spec.num_healthy!r} healthy, "
+                        f"{spec.num_faulty!r} faulty")
     if min(spec.num_healthy, spec.num_faulty) < 0:
         raise DataError(f"synthetic spec requests a negative count: {spec.num_healthy} healthy, "
                         f"{spec.num_faulty} faulty")
@@ -367,6 +370,8 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
         raise DataError("synthetic spec requests zero segments")
     if not (np.isfinite(spec.sample_rate) and spec.sample_rate > 0):
         raise DataError(f"synthetic spec needs a finite, positive sample rate, got {spec.sample_rate}")
+    if not (np.isfinite(spec.noise_level) and spec.noise_level >= 0):
+        raise DataError(f"synthetic spec needs a finite, non-negative noise level, got {spec.noise_level}")
     n = int(round(spec.sample_rate))
     if n < len(FIR_TAPS):
         raise DataError(f"synthetic segments of {n} samples (1 s at {spec.sample_rate:g} Hz) "
@@ -386,7 +391,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
             f -= 1
 
     rows = []
-    entries = []
     for i, label in enumerate(labels):
         sound, vibration = _synthesize_pair(spec, rng, label == "faulty")
         s_name = f"seg{i:04d}_sound.wav"
@@ -396,8 +400,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
         speed = SPEEDS[i % len(SPEEDS)]
         rows.append("\t".join([s_name, v_name, label, "synthA", f"{speed:g}", "0.20kN", "acc1",
                                "1.000"]))
-        entries.append(ManifestEntry(out_dir / s_name, out_dir / v_name, label, speed))
     manifest_path = out_dir / "manifest.tsv"
     header = "# sound\tvibration\tlabel\tmachine_id\tspeed_rpm\tload\tsensor_id\tduration_s"
     manifest_path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    return DatasetManifest(manifest_path, entries)
+    return load_manifest(manifest_path)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -23,6 +24,13 @@ def run(argv):
         return cli.main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def args_file(tmp_path, *lines):
+    """``@PATH`` of an argument file in ``tmp_path`` holding ``lines``, one per line."""
+    path = tmp_path / "run.args"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +67,7 @@ def test_every_subcommand_help_exits_zero(capsys):
                 "synthesize", "evaluate", "benchmark"):
         assert run([cmd, "--help"]) == 0
         out = capsys.readouterr().out
-        assert "--seed" in out and "--config" in out and "default" in out
+        assert "--seed" in out and "@FILE" in out and "default" in out
 
 
 def test_gen_synthetic_writes_expected_counts(dataset, capsys):
@@ -86,6 +94,14 @@ def test_gen_synthetic_negative_count_exit_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("level", ["-0.5", "nan"])
+def test_gen_synthetic_bad_noise_level_exits_1(tmp_path, capsys, level):
+    out = tmp_path / "d"
+    assert run(GEN + ["--noise-level", level, "--out", str(out)]) == 1
+    assert "non-negative noise level" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["3", "0.4"])
 def test_gen_synthetic_segments_shorter_than_fir_taps_exit_1(tmp_path, capsys, rate):
     # these printed numpy's "operands could not be broadcast" and "a cannot
@@ -106,17 +122,16 @@ def test_bad_split_seconds_exit_1(dataset, tmp_path, capsys, flag, value):
     assert not (tmp_path / "det.opvb").exists()
 
 
-@pytest.mark.parametrize("argv,config,message", [
+@pytest.mark.parametrize("argv,line,message", [
     (["train-transformer", "--joint"], None, "unrecognized arguments: --joint"),
     (["train-detector", "--l-seg", str(RATE)], None, f"unrecognized arguments: --l-seg {RATE}"),
-    (["train-transformer"], "class_loss=target", "not options of train-transformer: class_loss"),
+    (["train-transformer"], "--class-loss=target", "unrecognized arguments: --class-loss=target"),
 ], ids=["joint", "l_seg", "class_loss"])
-def test_removed_training_options_exit_2(tmp_path, capsys, argv, config, message):
+def test_removed_training_options_exit_2(tmp_path, capsys, argv, line, message):
     # training always runs with the detector frozen, the paired class term and
     # the data's segment length, so none of them is an option
-    if config:
-        (tmp_path / "run.cfg").write_text(f"{config}\n")
-        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    if line:
+        argv = argv + [args_file(tmp_path, line)]
     assert run(argv) == 2
     assert message in capsys.readouterr().err
 
@@ -279,69 +294,127 @@ def test_benchmark_json_and_reps_validation(transformer_ckpt, capsys):
 
 
 def test_config_file_overrides_defaults_and_flags_override_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("healthy=4\nfaulty=2\nnoise-level=0.01\n")
+    args = args_file(tmp_path, "--healthy=4", "--faulty=2", "--noise-level=0.01")
     out = tmp_path / "d"
-    assert run(GEN + ["--config", str(cfg), "--healthy", "1", "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    # flag beats config, config beats default
-    assert "healthy=1" in text and "faulty=2" in text and "noise_level=0.01" in text
+    # position decides: the file beats the --faulty before it, the --healthy
+    # after it beats the file, and the file beats the defaults
+    assert run(GEN + ["--faulty", "9", args, "--healthy", "1", "--out", str(out)]) == 0
+    echo = capsys.readouterr().out.splitlines()[0].split()
+    assert {"healthy=1", "faulty=2", "noise_level=0.01"} <= set(echo)
     wavs = sum(1 for p in out.iterdir() if p.suffix == ".wav")
     assert wavs == 2 * (1 + 2)
 
 
-@pytest.mark.parametrize("key,flag,value", [("held_out_speed", "--held-out-speed", "680")])
-def test_config_value_parses_like_its_flag(dataset, tmp_path, capsys, key, flag, value):
-    # options whose default is None used to keep the config file's string
-    argv = ["train-detector", "--manifest", str(dataset / "manifest.tsv"),
-            "--out", str(tmp_path / "det.opvb"), "--epochs", "1",
-            "--train-seconds", "12", "--val-seconds", "4"]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key}={value}\n")
-    assert run(argv + ["--config", str(cfg)]) == 0
-    from_config = capsys.readouterr().out.splitlines()[0]
-    assert run(argv + [flag, value]) == 0
-    assert from_config == capsys.readouterr().out.splitlines()[0]
+def _every_option():
+    """(command, flag, value) for each option of each subcommand; a switch's value is None."""
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    for command, parser in commands.items():
+        for action in parser._actions:
+            if action.dest == "help":
+                continue
+            if action.nargs == 0:
+                value = None
+            elif action.choices:
+                value = next(c for c in action.choices if c != action.default)
+            else:
+                value = {int: "7", float: "0.25", None: "elsewhere"}[action.type]
+            yield pytest.param(command, action.option_strings[0], value,
+                               id=f"{command}-{action.dest}")
 
-    cfg.write_text(f"{key}=fast\n")
-    assert run(argv + ["--config", str(cfg)]) == 2
-    assert f"config value {key}='fast'" in capsys.readouterr().err
+
+@pytest.mark.parametrize("command,flag,value", _every_option())
+def test_file_option_echoes_like_its_flag(tmp_path, monkeypatch, capsys, command, flag, value):
+    # the required paths name missing files, so each command fails fast after
+    # its echo; gen-synthetic fails on its 3-sample segments before it writes
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: fake_blas_threads(takes=True))
+    _, required = cli._COMMANDS[command]
+    base = [command] + [arg for name in required for arg in (f"--{name.replace('_', '-')}", "missing")]
+    if command == "gen-synthetic":
+        base += ["--sample-rate", "3"]
+    given = [flag] if value is None else [flag, value]
+    echoes = []
+    for argv in (base, base + [args_file(tmp_path, "=".join(given))], base + given):
+        rc = run(argv)
+        echoes.append((rc, capsys.readouterr().out.splitlines()[0]))
+    assert echoes[1] == echoes[2] and echoes[1][1] != echoes[0][1]
+    assert echoes[1][0] in (1, 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.args"]
 
 
-def test_config_switch_value_must_be_true_or_false(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("json=ture\n")
-    # a misspelt switch value used to read as false
-    assert run(["benchmark", "--model", str(tmp_path / "m.opvb"), "--config", str(cfg)]) == 2
-    assert "config value json='ture': expected true or false" in capsys.readouterr().err
+def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    args = args_file(tmp_path, "", "# a comment", "   ", "--reps=20", "  # indented", "--json")
+    assert run(["benchmark", "--model", str(tmp_path / "m.opvb"), args]) == 1
+    echo = capsys.readouterr().out.splitlines()[0].split()
+    assert {"reps=20", "json=True"} <= set(echo)
+
+
+def test_config_switch_takes_no_value(tmp_path, capsys):
+    # a switch is a bare --json line; under the former key=value reader a
+    # misspelt switch value read as false
+    args = args_file(tmp_path, "--json=ture")
+    assert run(["benchmark", "--model", str(tmp_path / "m.opvb"), args]) == 2
+    captured = capsys.readouterr()
+    assert "argument --json: ignored explicit argument 'ture'" in captured.err
+    assert not captured.out
+
+
+def test_reproducible_in_config_file_pins_blas(tmp_path, monkeypatch, capsys):
+    get, put = fake_blas_threads(takes=True)
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: (get, put))
+    during = []
+    _, required = cli._COMMANDS["gen-synthetic"]
+    monkeypatch.setitem(cli._COMMANDS, "gen-synthetic", (lambda opts: during.append(get()), required))
+    argv = GEN + [args_file(tmp_path, "--reproducible"), "--out", str(tmp_path / "d")]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" reproducible=True")
+    assert during == [1] and get() == 2
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "nofile.cfg"
-    assert run(["benchmark", "--model", str(tmp_path / "m.opvb"), "--config", str(cfg)]) == 2
+    args = tmp_path / "nofile.args"
+    out = tmp_path / "d"
+    assert run(GEN + [f"@{args}", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert f"cannot read config file {cfg}" in captured.err
-    assert not captured.out
+    assert f"No such file or directory: '{args}'" in captured.err
+    assert not captured.out and not out.exists()
 
 
 def test_config_line_without_equals_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("reps=20\ngarbage line\n")
-    assert run(["benchmark", "--model", str(tmp_path / "m.opvb"), "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert f"config file {cfg}:2: expected key=value, got 'garbage line'" in captured.err
-    assert not captured.out
-
-
-@pytest.mark.parametrize("line", ["bach_size=4", "reproducible=1", "config=other.cfg"])
-def test_unknown_config_key_exits_2(tmp_path, capsys, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"healthy=1\n{line}\n")
     out = tmp_path / "d"
-    assert run(GEN + ["--config", str(cfg), "--faulty", "1", "--out", str(out)]) == 2
+    assert run(GEN + [args_file(tmp_path, "--healthy=1", "garbage line"), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert f"not options of gen-synthetic: {line.split('=')[0]}" in captured.err
+    assert "unrecognized arguments: garbage line" in captured.err
     assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("line", ["bach_size=4", "reproducible=1", "config=other.cfg",
+                                  "--bach-size=4", "--config=other.cfg"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, line):
+    # a key=value line of the former config format is no argument, and an
+    # option the command does not have is refused alike
+    out = tmp_path / "d"
+    assert run(GEN + [args_file(tmp_path, "--healthy=1", line), "--faulty", "1",
+                      "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {line}" in captured.err
+    assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"--noise-level=loud\n", r"argument --noise-level: invalid float value: 'loud'"),
+    # argparse reads an @FILE in the locale's encoding, which is UTF-8 here;
+    # from Python 3.12 it escapes the byte, and the int parse refuses it
+    (b"--healthy=\xff\n", r"cannot decode an @FILE|argument --healthy: invalid int value"),
+    (b"--healthy=1\n@run.args\n", r"an @FILE includes itself"),
+], ids=["bad_value", "not_utf8", "includes_itself"])
+def test_bad_config_file_exits_2(tmp_path, monkeypatch, capsys, content, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.args").write_bytes(content)
+    assert run(GEN + ["@run.args", "--out", "d"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and re.search(message, captured.err)
+    assert not captured.out and not (tmp_path / "d").exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -411,6 +411,23 @@ def test_negative_segment_count_is_error(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("counts", [{"num_healthy": 2.5}, {"num_faulty": 3.0}, {"num_faulty": True}],
+                         ids=["float", "whole_float", "bool"])
+def test_non_integer_segment_count_is_error(tmp_path, counts):
+    # 2.5 healthy segments used to write 3, and True one
+    with pytest.raises(DataError, match="integer counts"):
+        generate_synthetic(SyntheticSpec(**counts), tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("level", [-0.5, float("nan"), float("inf")])
+def test_bad_noise_level_is_error(tmp_path, level):
+    # -0.5 and NaN used to write the noise-free dataset of noise level 0
+    with pytest.raises(DataError, match="non-negative noise level"):
+        generate_synthetic(SyntheticSpec(noise_level=level), tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("rate", [0.0, -256.0, float("nan"), float("inf")])
 def test_bad_sample_rate_is_error(tmp_path, rate):
     # 0 used to die in numpy ("a cannot be empty"), NaN in int()
