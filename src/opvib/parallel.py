@@ -26,8 +26,15 @@ import numpy as np
 
 from .models import ConfigError
 from .optim import Adam
+from .tensor import Tensor
 
 __all__ = ["WorkerError", "one_blas_thread"]
+
+
+# values per Adam array: Adam is elementwise, so chunks of the parameter row
+# give the bits of one array per parameter in fewer numpy calls, and keep
+# each float32 temporary at 128 KiB, in cache, where one over the row spills
+_ADAM_CHUNK = 32768
 
 
 # the default worker count never exceeds this: two workers is all that has
@@ -165,10 +172,15 @@ class _Arena:
             else:
                 np.add(row, g, out=row)
 
-    def use_grads(self):
-        """Hand each parameter its view of the sum row as its ``grad``."""
-        for t, span in zip(self.params, self.spans):
-            t.grad = self.grad[span].reshape(t.data.shape)
+    def chunks(self):
+        """The parameter row as tensors of at most ``_ADAM_CHUNK`` contiguous
+        values, each holding its view of the sum row as its ``grad``."""
+        chunks = []
+        for start in range(0, self.row.size, _ADAM_CHUNK):
+            chunk = Tensor(self.row[start : start + _ADAM_CHUNK])
+            chunk.grad = self.grad[start : start + _ADAM_CHUNK]
+            chunks.append(chunk)
+        return chunks
 
     def drop_grads(self):
         for t in self.params:
@@ -332,9 +344,7 @@ class _SampleParallel:
         self.turn = _shared((1,), np.int64)     # the next batch position to fold
         # one process takes every turn in order and never waits
         self.turned = (multiprocessing.get_context("fork") if workers > 1 else threading).Condition()
-        # one Adam array per parameter, as a flat update over a whole row
-        # gives the same bits but allocates row-sized temporaries each step
-        self.opt = Adam(params, lr=cfg.learning_rate)
+        self.opt = Adam(self.arena.chunks(), lr=cfg.learning_rate)
         try:
             self.workers = _Workers(workers, {
                 "train": self._backward,
@@ -380,12 +390,7 @@ class _SampleParallel:
         n = len(batch)
         self.turn[0] = 0
         values = self.workers.map("train", [(pos, int(i), n) for pos, i in enumerate(batch)])
-        self.arena.use_grads()
-        try:
-            self.opt.step()
-        finally:
-            # the summed gradients must not meet the next batch's first sample
-            self.arena.drop_grads()
+        self.opt.step()
         return values
 
     def __enter__(self):

@@ -92,13 +92,16 @@ def normalize_segment(x):
 def _normalize_with_flag(x):
     """:func:`normalize_segment` without the warning, as ``(segment, degenerate)``."""
     x = np.asarray(x)
+    dtype = x.dtype
+    if not np.issubdtype(dtype, np.floating):
+        # integer samples, raw PCM among them, would wrap if subtracted in their own dtype
+        x, dtype = x.astype(np.float64), np.float32
     if x.size == 0:
         raise ValueError("cannot normalize an empty segment")
     if not np.isfinite(x).all():
         raise ValueError("cannot normalize a segment containing NaN/Inf")
     lo = x.min()
     hi = x.max()
-    dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float32
     if hi == lo:
         return np.zeros_like(x, dtype=dtype), True
     return (2.0 * (x - lo) / (hi - lo) - 1.0).astype(dtype, copy=False), False

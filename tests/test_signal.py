@@ -18,6 +18,18 @@ def test_normalize_maps_extremes_to_unit_interval():
     assert np.allclose(normalize_segment(np.array([2.0, 4.0])), [-1.0, 1.0])
 
 
+@pytest.mark.parametrize("values", [[-32768, 0, 32767], [-128, 0, 127], [-100, 0, 100]])
+def test_normalize_integer_extremes_do_not_wrap(values):
+    # raw PCM: subtracted in its own dtype, the range would overflow
+    x = np.array(values, dtype=np.int16 if min(values) < -128 else np.int8)
+    lo, hi = min(values), max(values)
+    want = np.array([2.0 * (v - lo) / (hi - lo) - 1.0 for v in values], dtype=np.float32)
+    with np.errstate(all="raise"):
+        out = normalize_segment(x)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, want)
+
+
 def test_normalize_degenerate_segment_flags_and_zeros():
     with pytest.warns(DegenerateSegmentWarning):
         out = normalize_segment(np.array([-3.0, -3.0, -3.0]))

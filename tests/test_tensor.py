@@ -258,6 +258,33 @@ def test_transposed_conv_output_equals_per_tap_scatter(c_in, c_out, length, k, s
     assert np.array_equal(out, full[:, padding : l_full - padding] + b[:, None])
 
 
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("c_out,length", [
+    (16, 256),                 # 128 windows: taken as cols @ g.T
+    (16, 32),                  # 16 windows
+    (64, 256),                 # 64 output channels
+])
+def test_conv1d_weight_gradient_is_g_times_columns(c_out, length, q):
+    # the weight gradient is g @ cols.T in either operand order; a tolerance,
+    # as a BLAS may sum the two orders differently (both were bit-equal here)
+    rng = np.random.default_rng(37)
+    c_in, k, stride, padding = 3, 7, 2, 3
+    x = rng.standard_normal((c_in, length)).astype(np.float32)
+    w = Tensor(rng.standard_normal((c_out, q * c_in, k)).astype(np.float32), requires_grad=True)
+    out = conv1d(x, w, None, stride, padding, q=q)
+    g = rng.standard_normal(out.data.shape).astype(np.float32)
+    out.backward(g)
+    powers = [x]
+    for _ in range(q - 1):
+        powers.append(powers[-1] * x)
+    xp = np.pad(np.concatenate(powers), ((0, 0), (padding, padding)))
+    l_out = g.shape[1]
+    cols = np.stack([xp[:, t : t + stride * (l_out - 1) + 1 : stride] for t in range(k)], axis=1)
+    want = (g @ cols.reshape(q * c_in * k, l_out).T).reshape(w.data.shape)
+    assert w.grad.flags.c_contiguous
+    np.testing.assert_allclose(w.grad, want, rtol=1e-6, atol=1e-4)
+
+
 def test_frozen_conv_weights_keep_no_columns_for_backward():
     # a conv node keeps its input, weights and output, and backward forms the
     # im2col columns and input powers again, whether or not the weights

@@ -29,7 +29,13 @@ from opvib.training import (
     train_fault_detector,
     train_transformer,
 )
-from util import THREAD_VARS, fake_blas_threads, joined_graph_training, opvib_subprocess_env
+from util import (
+    THREAD_VARS,
+    fake_blas_threads,
+    joined_graph_training,
+    opvib_subprocess_env,
+    per_sample_detector_training,
+)
 
 # small-rate datasets keep the training tests fast; the stride chain and the
 # U-Net both accept 256-sample segments
@@ -269,6 +275,23 @@ def test_training_equals_joined_graph(trained_detector, monkeypatch):
         _use_workers(monkeypatch, workers)
         model, history = train_transformer(split.train, split.val, cfg, detector,
                                            model=OpUNet(l_seg=int(RATE), seed=16))
+        assert history == ref
+        for a, b in zip(_weights(model), _weights(ref_model)):
+            assert np.array_equal(a, b)
+
+
+def test_detector_training_equals_per_sample_backward(small_dataset, monkeypatch):
+    # the arena folds each sample's gradient in sample order and Adam steps
+    # over chunks of the row; a leaf's own accumulation and one Adam array per
+    # parameter give the same bits, over 3 epochs of batches of 8, 8 and 4
+    split = split_dataset(small_dataset, 1010.0, train_seconds=20, val_seconds=6)
+    cfg = TrainConfig(seed=24, classifier_epochs=3)
+    with parallel.one_blas_thread():
+        ref_model, ref = per_sample_detector_training(split.train, split.val, cfg)
+    assert len({entry["val_mse"] for entry in ref}) == 3
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        model, history = train_fault_detector(split.train, split.val, cfg)
         assert history == ref
         for a, b in zip(_weights(model), _weights(ref_model)):
             assert np.array_equal(a, b)

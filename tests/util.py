@@ -250,3 +250,55 @@ def joined_graph_training(train, val, cfg, detector, model):
     for t, data in zip(params, best[1]):
         t.data = data
     return history
+
+
+def per_sample_detector_training(train, val, cfg):
+    """The model and history of a ``train_fault_detector`` run, recomputed
+    with one backward per sample, seeded ``1/n``, in sample order, and a
+    per-parameter Adam update.
+
+    It follows the loop's shuffled batches, per-epoch validation and
+    best-weights restore; each sample's gradient joins its parameter's in
+    sample order, as a leaf adds a second gradient to its first.
+    """
+    from opvib.losses import loss_class
+    from opvib.models import CLASS_TARGETS, FaultClassifier, predict_label
+    from opvib.optim import Adam
+    from opvib.tensor import no_grad
+
+    model = FaultClassifier(l_seg=train[0].vibration.size, seed=cfg.seed)
+    params = [t for _, t in model.parameters()]
+    opt = Adam(params, lr=cfg.learning_rate)
+    rng = np.random.default_rng(cfg.seed)
+    val = val or train
+    history, best = [], None
+    for epoch in range(cfg.classifier_epochs):
+        order = rng.permutation(len(train))
+        train_mse = 0.0
+        for start in range(0, len(train), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            losses = []
+            for i in batch:
+                pair = train[i]
+                loss = loss_class(CLASS_TARGETS[pair.label], model(pair.vibration.reshape(1, -1)))
+                loss.backward(np.asarray(1.0 / len(batch), dtype=loss.dtype))
+                losses.append(loss.data)
+            opt.step()
+            for t in params:
+                t.grad = None
+            total = sum(losses[1:], losses[0])
+            train_mse += float(total * np.asarray(1.0 / len(losses), dtype=total.dtype)) * len(losses)
+        val_mse = val_accuracy = 0.0
+        with no_grad():
+            for pair in val:
+                scores = model(pair.vibration.reshape(1, -1))
+                val_mse += loss_class(CLASS_TARGETS[pair.label], scores).item()
+                val_accuracy += 100.0 * (predict_label(scores) == pair.label)
+        val_mse /= len(val)
+        if best is None or val_mse < best[0]:
+            best = (val_mse, [t.data.copy() for t in params])
+        history.append({"epoch": epoch, "train_mse": train_mse / len(train), "val_mse": val_mse,
+                        "val_accuracy": val_accuracy / len(val)})
+    for t, data in zip(params, best[1]):
+        t.data = data
+    return model, history
