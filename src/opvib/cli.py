@@ -4,24 +4,23 @@ Subcommands cover the full workflow: synthetic dataset generation,
 detector pre-training, cascaded transformer training, sound-to-vibration
 synthesis, Table-style evaluation, and the inference latency benchmark.
 
-Every command accepts ``--seed`` and ``--reproducible``.  An argument
-``@FILE`` is replaced by the arguments in FILE, one per line (such as
-``--batch-size=4``; blank and ``#`` lines are skipped), so each is parsed
-and checked by its flag, and a later argument overrides an earlier one.
-Any argument that starts with ``@`` is read as a file name.  The fully
-resolved configuration is echoed before the command runs.  Exit codes: 0
-success, 1 runtime failure, 2 invalid flags or argument files.
+Every command accepts ``--seed``.  An argument ``@FILE`` is replaced by
+the arguments in FILE, one per line (such as ``--batch-size=4``; blank and
+``#`` lines are skipped), so each is parsed and checked by its flag, and a
+later argument overrides an earlier one.  Any argument that starts with
+``@`` is read as a file name.  The fully resolved configuration is echoed
+before the command runs.  Exit codes: 0 success, 1 runtime failure, 2
+invalid flags or argument files.
 
-``--reproducible`` holds numpy's BLAS at one thread for the whole command,
-through the BLAS's own thread setter (``opvib.parallel.one_blas_thread``),
-and restores the count after.  When that setter is not found or does not
-take, the command exits 2 rather than run unpinned.
+Every command holds numpy's BLAS at one thread while it runs, through the
+BLAS's own thread setter (``opvib.parallel.one_blas_thread``), and
+restores the caller's count after.  The echo ends ``pinned=True`` when the
+pin took, and ``pinned=False`` when no setter was found or it did not take.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import math
@@ -33,15 +32,13 @@ import numpy as np
 from .dataio import DataError, SyntheticSpec, generate_synthetic, load_recording, load_segment_pairs, write_wav
 from .evaluation import benchmark_inference, compute_metrics, real_time_factor
 from .models import (
-    CheckpointError,
-    ConfigError,
     FaultClassifier,
     OpUNet,
     load_checkpoint,
     parameter_count,
     save_checkpoint,
 )
-from .parallel import one_blas_thread
+from .parallel import WorkerError, one_blas_thread
 from .signal import Signal
 from .training import (
     TRAIN_SECONDS,
@@ -75,8 +72,6 @@ def _build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=_TRAIN.seed, help="run seed (default: %(default)s)")
-    common.add_argument("--reproducible", action="store_true",
-                        help="single-threaded, byte-deterministic mode")
 
     split = argparse.ArgumentParser(add_help=False)
     split.add_argument("--manifest", help="dataset manifest (required)")
@@ -150,10 +145,10 @@ def _build_parser():
     return parser
 
 
-def _echo(opts, reproducible):
+def _echo(opts, pinned):
     keys = sorted(opts)
     rendered = " ".join(f"{k}={opts[k]}" for k in keys)
-    print(f"config: {rendered} reproducible={reproducible}")
+    print(f"config: {rendered} pinned={pinned}")
 
 
 def _load_pairs(opts):
@@ -322,7 +317,7 @@ def main(argv=None):
         parser.error(f"cannot decode an @FILE: {exc}")
     except RecursionError:
         parser.error("an @FILE includes itself, directly or through another @FILE")
-    opts = {k: v for k, v in vars(args).items() if k not in ("command", "reproducible")}
+    opts = {k: v for k, v in vars(args).items() if k != "command"}
     handler, required = _COMMANDS[args.command]
     if args.command == "gen-synthetic" and (min(opts["healthy"], opts["faulty"]) < 0
                                             or opts["healthy"] + opts["faulty"] < 1):
@@ -331,17 +326,13 @@ def main(argv=None):
         if opts[name] is None:
             parser.error(f"--{name.replace('_', '-')} is required")
 
-    pin = one_blas_thread() if args.reproducible else contextlib.nullcontext(True)
-    with pin as pinned:
-        if not pinned:
-            parser.error("--reproducible cannot pin BLAS to one thread: numpy's BLAS has no "
-                         "thread setter opvib knows (OpenBLAS, MKL), or setting it did not take")
-        _echo(opts, args.reproducible)
+    with one_blas_thread() as pinned:
+        _echo(opts, pinned)
         try:
             handler(opts)
         except argparse.ArgumentError as exc:
             parser.error(str(exc))
-        except (DataError, CheckpointError, ConfigError, ValueError, OSError) as exc:
+        except (ValueError, OSError, WorkerError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     return 0

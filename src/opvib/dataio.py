@@ -240,19 +240,14 @@ def load_manifest(path):
                 raise ManifestError(
                     f"{path}:{lineno}: label must be one of {VALID_LABELS}, got {label!r}"
                 )
-            try:
-                speed = float(fields[4])
-            except ValueError as exc:
-                raise ManifestError(
-                    f"{path}:{lineno}: non-numeric speed {fields[4]!r}"
-                ) from exc
-            try:
-                float(fields[7])
-            except ValueError as exc:
-                raise ManifestError(
-                    f"{path}:{lineno}: non-numeric duration {fields[7]!r}"
-                ) from exc
-            entries.append(ManifestEntry(sound_p, vib_p, label, speed))
+            for name, text in (("speed", fields[4]), ("duration", fields[7])):
+                try:
+                    finite = math.isfinite(float(text))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise ManifestError(f"{path}:{lineno}: {name} {text!r} is not a finite number")
+            entries.append(ManifestEntry(sound_p, vib_p, label, float(fields[4])))
     return DatasetManifest(path, entries)
 
 
@@ -372,6 +367,12 @@ def generate_synthetic(spec: SyntheticSpec, out_dir):
         raise DataError(f"synthetic spec needs a finite, positive sample rate, got {spec.sample_rate}")
     if not (np.isfinite(spec.noise_level) and spec.noise_level >= 0):
         raise DataError(f"synthetic spec needs a finite, non-negative noise level, got {spec.noise_level}")
+    tones = {"fault_amp": spec.fault_amp, "fault_freq": spec.fault_freq,
+             "fault_repeat_hz": spec.fault_repeat_hz,
+             **{f"base_freqs[{i}]": f for i, f in enumerate(spec.base_freqs)}}
+    for name, value in tones.items():
+        if not np.isfinite(value):
+            raise DataError(f"synthetic spec needs a finite {name}, got {value}")
     n = int(round(spec.sample_rate))
     if n < len(FIR_TAPS):
         raise DataError(f"synthetic segments of {n} samples (1 s at {spec.sample_rate:g} Hz) "

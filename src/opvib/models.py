@@ -293,8 +293,6 @@ class FaultClassifier(_Network):
     def forward(self, vibration):
         """Score a ``(1, l_seg)`` vibration map; returns a length-2 tensor."""
         x = vibration if isinstance(vibration, Tensor) else Tensor(np.asarray(vibration, dtype=self.dtype))
-        if x.data.ndim == 1:
-            x = x.reshape(1, -1)
         if x.data.shape != (1, self.l_seg):
             raise ShapeError(f"expected input shape (1, {self.l_seg}), got {x.data.shape}")
         h = x

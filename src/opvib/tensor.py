@@ -251,8 +251,6 @@ class Tensor:
         return Tensor._result(out_data, (self,), backward)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         out_data = self.data.reshape(shape)
 

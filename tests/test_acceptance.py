@@ -276,7 +276,7 @@ def test_a09_parameter_count_and_budget():
 def _reproducible_pipeline(workdir, seed):
     env = opvib_subprocess_env()
     base = [sys.executable, "-m", "opvib"]
-    common = ["--reproducible", "--seed", str(seed)]
+    common = ["--seed", str(seed)]
 
     def run(args):
         proc = subprocess.run(base + args + common, cwd=workdir, env=env,

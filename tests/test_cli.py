@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -94,11 +95,17 @@ def test_gen_synthetic_negative_count_exit_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("level", ["-0.5", "nan"])
-def test_gen_synthetic_bad_noise_level_exits_1(tmp_path, capsys, level):
+@pytest.mark.parametrize("flag,value,message", [
+    pytest.param("--noise-level", "-0.5", "non-negative noise level", id="-0.5"),
+    pytest.param("--noise-level", "nan", "non-negative noise level", id="nan"),
+    # a NaN fault amplitude used to write the first pair, and no manifest
+    pytest.param("--fault-amp", "nan", "finite fault_amp, got nan", id="fault-amp-nan"),
+    pytest.param("--fault-freq", "inf", "finite fault_freq, got inf", id="fault-freq-inf"),
+])
+def test_gen_synthetic_bad_noise_level_exits_1(tmp_path, capsys, flag, value, message):
     out = tmp_path / "d"
-    assert run(GEN + ["--noise-level", level, "--out", str(out)]) == 1
-    assert "non-negative noise level" in capsys.readouterr().err
+    assert run(GEN + [flag, value, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -359,18 +366,6 @@ def test_config_switch_takes_no_value(tmp_path, capsys):
     assert not captured.out
 
 
-def test_reproducible_in_config_file_pins_blas(tmp_path, monkeypatch, capsys):
-    get, put = fake_blas_threads(takes=True)
-    monkeypatch.setattr(parallel, "_blas_threads", lambda: (get, put))
-    during = []
-    _, required = cli._COMMANDS["gen-synthetic"]
-    monkeypatch.setitem(cli._COMMANDS, "gen-synthetic", (lambda opts: during.append(get()), required))
-    argv = GEN + [args_file(tmp_path, "--reproducible"), "--out", str(tmp_path / "d")]
-    assert run(argv) == 0
-    assert capsys.readouterr().out.splitlines()[0].endswith(" reproducible=True")
-    assert during == [1] and get() == 2
-
-
 def test_missing_config_file_exits_2(tmp_path, capsys):
     args = tmp_path / "nofile.args"
     out = tmp_path / "d"
@@ -389,15 +384,24 @@ def test_config_line_without_equals_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["bach_size=4", "reproducible=1", "config=other.cfg",
-                                  "--bach-size=4", "--config=other.cfg"])
+                                  "--bach-size=4", "--config=other.cfg", "--reproducible"])
 def test_unknown_config_key_exits_2(tmp_path, capsys, line):
     # a key=value line of the former config format is no argument, and an
-    # option the command does not have is refused alike
+    # option the command does not have, such as the removed --reproducible,
+    # is refused alike
     out = tmp_path / "d"
     assert run(GEN + [args_file(tmp_path, "--healthy=1", line), "--faulty", "1",
                       "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert f"unrecognized arguments: {line}" in captured.err
+    assert not captured.out and not out.exists()
+
+
+def test_reproducible_flag_is_gone(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run(GEN + ["--healthy", "1", "--faulty", "1", "--out", str(out), "--reproducible"]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --reproducible" in captured.err
     assert not captured.out and not out.exists()
 
 
@@ -434,7 +438,7 @@ def test_resolved_config_is_echoed(dataset, capsys):
 
 @pytest.mark.skipif(parallel._blas_threads() is None,
                     reason="numpy's BLAS has no thread setter opvib knows")
-def test_reproducible_pins_blas_in_process_and_restores_it(tmp_path):
+def test_every_command_pins_blas_in_process_and_restores_it(tmp_path):
     # started with no thread variable set: the command itself holds BLAS at
     # one thread while it runs, and hands the caller's count back after
     env = opvib_subprocess_env()
@@ -453,32 +457,63 @@ def test_reproducible_pins_blas_in_process_and_restores_it(tmp_path):
               "print('threads', before, get())\n"
               "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", script] + GEN
-                          + ["--healthy", "1", "--faulty", "1", "--out", "d", "--reproducible"],
+                          + ["--healthy", "1", "--faulty", "1", "--out", "d"],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("config:") and lines[0].endswith(" reproducible=True")
+    assert lines[0].startswith("config:") and lines[0].endswith(" pinned=True")
     assert lines[1] == "during 1"
     _, before, after = lines[-1].split()
     assert before == after
 
 
-def test_reproducible_without_a_pinning_method_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
-    assert run(GEN + ["--healthy", "1", "--faulty", "1", "--out", str(tmp_path),
-                      "--reproducible"]) == 2
-    assert "cannot pin BLAS" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
-def test_reproducible_refuses_a_blas_pin_that_does_not_take(tmp_path, monkeypatch, capsys):
-    # a setter that is found but leaves the count at 2 must not pass for a pin
-    get, put = fake_blas_threads(takes=False)
+def test_a_failing_command_restores_the_blas_count(tmp_path, monkeypatch, capsys):
+    get, put = fake_blas_threads(takes=True)
     monkeypatch.setattr(parallel, "_blas_threads", lambda: (get, put))
-    assert run(GEN + ["--healthy", "1", "--faulty", "1", "--out", str(tmp_path),
-                      "--reproducible"]) == 2
-    assert "cannot pin BLAS" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    during = []
+
+    def fail(opts):
+        during.append(get())
+        raise OSError("disk full")
+
+    monkeypatch.setitem(cli._COMMANDS, "gen-synthetic", (fail, ("out",)))
+    assert run(GEN + ["--out", str(tmp_path / "d")]) == 1
+    assert "error: disk full" in capsys.readouterr().err
+    assert during == [1] and get() == 2
+
+
+@pytest.mark.parametrize("blas", ["no_setter", "setter_does_not_take"])
+def test_command_runs_unpinned_and_says_so(tmp_path, monkeypatch, capsys, blas):
+    # a BLAS without a known setter, or one whose setter leaves the count at
+    # 2, does not stop a command: it runs on the BLAS's own count and the
+    # echo says so
+    get, put = fake_blas_threads(takes=False)
+    monkeypatch.setattr(parallel, "_blas_threads",
+                        lambda: None if blas == "no_setter" else (get, put))
+    out = tmp_path / "d"
+    assert run(GEN + ["--healthy", "1", "--faulty", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" pinned=False")
+    assert (out / "manifest.tsv").is_file()
     assert get() == 2
     with parallel._pinned_workers(training.TrainConfig()) as workers:
         assert workers == 1
+
+
+def test_dying_training_worker_exits_1_without_a_traceback(dataset, tmp_path, monkeypatch, capfd):
+    # a WorkerError is no ValueError, and used to end the command in a traceback
+    caller = os.getpid()
+    real_loss_class = training.loss_class
+
+    def loss_class(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real_loss_class(*args)
+
+    monkeypatch.setattr(training, "loss_class", loss_class)
+    monkeypatch.setattr(parallel, "_worker_count", lambda cfg, pinned: 2)
+    out = tmp_path / "det.opvb"
+    assert run(["train-detector", "--manifest", str(dataset / "manifest.tsv"), "--out", str(out),
+                "--epochs", "1", "--train-seconds", "12", "--val-seconds", "4"]) == 1
+    err = capfd.readouterr().err
+    assert err.count("error:") == 1 and "training worker 1 died (exit code 3)" in err
+    assert "Traceback" not in err and not out.exists()

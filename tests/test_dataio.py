@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import warnings
 
@@ -265,6 +266,14 @@ def test_manifest_bad_label_and_speed(tmp_path):
     mpath.write_text(good + "\thealthy\tm1\t480\tL1\tacc1\tlong\n")
     with pytest.raises(ManifestError, match="duration"):
         load_manifest(mpath)
+    # a NaN speed used to load, and split_dataset's == then matched no speed
+    for speed in ("nan", "inf", "-inf"):
+        mpath.write_text(good + f"\thealthy\tm1\t{speed}\tL1\tacc1\t1.0\n")
+        with pytest.raises(ManifestError, match=rf":1: speed '{speed}' is not a finite number"):
+            load_manifest(mpath)
+    mpath.write_text(good + "\thealthy\tm1\t480\tL1\tacc1\tinf\n")
+    with pytest.raises(ManifestError, match=r":1: duration 'inf' is not a finite number"):
+        load_manifest(mpath)
 
 
 def test_non_utf8_manifest_is_manifest_error(tmp_path):
@@ -425,6 +434,22 @@ def test_bad_noise_level_is_error(tmp_path, level):
     # -0.5 and NaN used to write the noise-free dataset of noise level 0
     with pytest.raises(DataError, match="non-negative noise level"):
         generate_synthetic(SyntheticSpec(noise_level=level), tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["fault_amp", "fault_freq", "fault_repeat_hz",
+                                   "base_freqs[0]", "base_freqs[2]"])
+def test_non_finite_tone_parameter_is_error(tmp_path, field, value):
+    # a NaN fault_amp used to write the first pair before the WAV writer refused it
+    if field.startswith("base_freqs"):
+        freqs = list(SyntheticSpec().base_freqs)
+        freqs[int(field[-2])] = value
+        spec = SyntheticSpec(base_freqs=tuple(freqs))
+    else:
+        spec = SyntheticSpec(**{field: value})
+    with pytest.raises(DataError, match=re.escape(f"needs a finite {field}, got {value}")):
+        generate_synthetic(spec, tmp_path / "d")
     assert not (tmp_path / "d").exists()
 
 
